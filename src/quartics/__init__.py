@@ -20,68 +20,30 @@ cli
     The ``quartics`` command-line driver.
 """
 
-from .bott import (
-    DEFAULT_WEIGHTS,
-    LocalizationResult,
-    bott_sum,
-    prod_weights,
-    random_weight_search,
-    validate_weights,
-    weight_of,
-)
+from .bott import LocalizationResult, bott_sum, random_weight_search, validate_weights
 from .fixedpoints import (
-    BlowupCenterDatum,
     FixedPoint,
     assemble_h4,
-    blowup_fixed_points,
     enumerate_h3,
-    fiber_rep,
-    grassmann_fixed_points,
     lemma_injectivity_check,
     limit_ideal_oracle,
-    stage1_centers,
-    stage2_centers,
 )
-from .repring import (
-    LaurentMonomial,
-    MonomialIdeal,
-    RepElement,
-    ideal_twist,
-    invariant_sections,
-    rep_add,
-    rep_dual,
-    rep_mul,
-    rep_sub,
-)
+from .repring import LaurentMonomial, MonomialIdeal, RepElement, invariant_sections
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_WEIGHTS",
-    "BlowupCenterDatum",
     "FixedPoint",
     "LaurentMonomial",
     "LocalizationResult",
     "MonomialIdeal",
     "RepElement",
     "assemble_h4",
-    "blowup_fixed_points",
     "bott_sum",
     "enumerate_h3",
-    "fiber_rep",
-    "grassmann_fixed_points",
-    "ideal_twist",
     "invariant_sections",
     "lemma_injectivity_check",
     "limit_ideal_oracle",
-    "prod_weights",
     "random_weight_search",
-    "rep_add",
-    "rep_dual",
-    "rep_mul",
-    "rep_sub",
-    "stage1_centers",
-    "stage2_centers",
     "validate_weights",
-    "weight_of",
 ]

@@ -21,17 +21,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bott, fixedpoints
-from .fixedpoints import (
-    DEFAULT_DEGREE,
-    ORACLE_DEGREE_BOUNDS,
-    BlowupCenterDatum,
-    FixedPoint,
-    census,
-)
-from .repring import invariant_sections
+from .fixedpoints import DEFAULT_DEGREE, BlowupCenterDatum, FixedPoint, census
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -76,12 +69,6 @@ class ConfigError(Exception):
 
 def cmd_count(args) -> int:
     """Evaluate the localization sum and print its value."""
-    if args.degree != DEFAULT_DEGREE:
-        raise ConfigError(
-            f"count is only meaningful at degree {DEFAULT_DEGREE} (the "
-            f"Calabi-Yau degree); degree {args.degree} is allowed for "
-            f"fixed-points dumps only"
-        )
     points = fixedpoints.assemble_h4(fixedpoints.enumerate_h3())
     weights, attempts = _resolve_weights(args, points)
     result = bott.bott_sum(points, weights, keep_terms=args.show_terms)
@@ -235,12 +222,10 @@ def run_checks(
         "no trivial character, all multiplicities >= 1",
     )
 
-    v2 = invariant_sections(3, 2)
     bad1 = [
         c.base_ideal
         for c in stage1
-        if c.ambient_tangent()
-        != (v2 - c.base_ideal.as_rep()) * c.base_ideal.as_rep().dual()
+        if c.ambient_tangent() != fixedpoints.grassmann_tangent(c.base_ideal)
     ]
     check(
         "stage1-tables",
@@ -266,10 +251,7 @@ def run_checks(
     mismatches = []
     directions = 0
     for center in stage1 + stage2:
-        bound = ORACLE_DEGREE_BOUNDS[center.stage]
-        mismatches.extend(
-            fixedpoints.center_oracle_agreement(center, center.lcm_base, bound)
-        )
+        mismatches.extend(fixedpoints.center_oracle_agreement(center))
         directions += len(center.normal_basis)
     check(
         "flat-limit-oracle",
@@ -386,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_count = sub.add_parser("count", help="evaluate the localization count")
-    add_common(p_count, weights=True, seed=True, range_=True, degree=True,
-               json_=True, show_terms=True)
+    add_common(p_count, weights=True, seed=True, range_=True, json_=True,
+               show_terms=True)
     p_count.set_defaults(func=cmd_count)
 
     p_fp = sub.add_parser("fixed-points", help="dump the fixed-point data")
@@ -405,10 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject out-of-range option values before any point is built."""
+    if getattr(args, "range", None) is not None:
+        lo, hi = args.range
+        if hi - lo + 1 < 5:
+            raise ConfigError(f"--range {lo} {hi} holds fewer than 5 distinct integers")
+    if getattr(args, "degree", 0) < 0:
+        raise ConfigError(f"--degree {args.degree} is negative")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

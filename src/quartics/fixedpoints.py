@@ -141,23 +141,26 @@ def _quadric_pair_ideals() -> list[MonomialIdeal]:
     return ideals
 
 
+def grassmann_tangent(ideal: MonomialIdeal) -> RepElement:
+    """Tangent to the Grassmannian of quadric pencils at a pair of quadrics:
+    Hom(I, V[2]/I) = (V[2] - I) * dual(I)."""
+    gens = ideal.as_rep()
+    return (invariant_sections(3, 2) - gens) * gens.dual()
+
+
 def grassmann_fixed_points(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
     """The 12 fixed points of the Grassmannian stage.
 
     Pairs of invariant quadrics sharing a variable lie in the first
-    blow-up center and are excluded here.  The tangent space is
-    Hom(I, V[2]/I) = (V[2] - I) * dual(I).
+    blow-up center and are excluded here.
     """
-    v2 = invariant_sections(3, 2)
     points = []
     for ideal in _quadric_pair_ideals():
-        gens = ideal.as_rep()
-        tangent = (v2 - gens) * gens.dual()
         points.append(
             FixedPoint(
                 stage=STAGE_GRASSMANNIAN,
                 ideal=ideal,
-                tangent=tangent,
+                tangent=grassmann_tangent(ideal),
                 fiber=fiber_rep(ideal, degree),
             )
         )
@@ -169,12 +172,11 @@ def grassmann_fixed_points(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
 #  Blow-up center tables.
 #
 #  Each table below is given at the identity labeling of the weight-one
-#  coordinates x1,x2,x3 and expanded over the permutation orbit indicated.
+#  coordinates x1,x2,x3; `stage1_centers` and `stage2_centers` expand it
+#  over the permutation orbit indicated.
 #  T entries and normal directions are degree-0 Laurent monomials in the
 #  four characters.
 # ---------------------------------------------------------------------------
-
-_IDENTITY = {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def _mono4(text: str) -> LaurentMonomial:
@@ -194,25 +196,15 @@ _CYCLIC_PERMS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
 _ALL_PERMS = [tuple(p) for p in permutations((1, 2, 3))]
 
 
-@dataclass(frozen=True)
-class _CenterTable:
-    base: MonomialIdeal
-    tangent: RepElement
-    normal: tuple[LaurentMonomial, ...]
-    lcm_base: LaurentMonomial
-    perms: tuple[tuple[int, int, int], ...]
-    stage: str
-
-
 # First blow-up, center type (x1*x2, x1*x3): a pencil with common factor
 # x1 and coprime second factors.  The ideal is symmetric in x2,x3, so the
 # three cyclic relabelings already cover its orbit.
-_STAGE1_PENCIL = _CenterTable(
-    base=MonomialIdeal.of(4, "x1*x2", "x1*x3"),
-    tangent=_rep4(
+_STAGE1_PENCIL = BlowupCenterDatum(
+    base_ideal=MonomialIdeal.of(4, "x1*x2", "x1*x3"),
+    tangent_to_center=_rep4(
         [("x1*x2^-1", 1), ("x1*x3^-1", 1), ("x2*x1^-1", 1), ("x3*x1^-1", 1)]
     ),
-    normal=(
+    normal_basis=(
         _mono4("x0^2*x1^-1*x2^-1"),
         _mono4("x0^2*x1^-1*x3^-1"),
         _mono4("x2*x1^-1"),
@@ -221,16 +213,15 @@ _STAGE1_PENCIL = _CenterTable(
         _mono4("x2^2*x1^-1*x3^-1"),
     ),
     lcm_base=_mono4("x1*x2*x3"),
-    perms=tuple(_CYCLIC_PERMS),
     stage=STAGE_BLOWUP1,
 )
 
 # First blow-up, center type (x1^2, x1*x2): common factor x1 with a
 # repeated root.  Not symmetric in x2,x3: all six relabelings occur.
-_STAGE1_DOUBLE = _CenterTable(
-    base=MonomialIdeal.of(4, "x1^2", "x1*x2"),
-    tangent=_rep4([("x3*x1^-1", 2), ("x3*x2^-1", 1), ("x2*x1^-1", 1)]),
-    normal=(
+_STAGE1_DOUBLE = BlowupCenterDatum(
+    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2"),
+    tangent_to_center=_rep4([("x3*x1^-1", 2), ("x3*x2^-1", 1), ("x2*x1^-1", 1)]),
+    normal_basis=(
         _mono4("x0^2*x1^-2"),
         _mono4("x0^2*x1^-1*x2^-1"),
         _mono4("x2^2*x1^-2"),
@@ -239,7 +230,6 @@ _STAGE1_DOUBLE = _CenterTable(
         _mono4("x2*x3*x1^-2"),
     ),
     lcm_base=_mono4("x1^2*x2"),
-    perms=tuple(_ALL_PERMS),
     stage=STAGE_BLOWUP1,
 )
 
@@ -248,12 +238,12 @@ _STAGE1_DOUBLE = _CenterTable(
 # Directions x3*x2^-1 and x0^2*x3^-2 (respectively x3^2*x0^-2) stay inside
 # the common-factor locus and belong to the center's own tangent space,
 # not to the normal basis.
-_STAGE2_CUSP = _CenterTable(
-    base=MonomialIdeal.of(4, "x1^2", "x1*x2", "x1*x3^2"),
-    tangent=_rep4(
+_STAGE2_CUSP = BlowupCenterDatum(
+    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2", "x1*x3^2"),
+    tangent_to_center=_rep4(
         [("x3*x1^-1", 1), ("x2*x1^-1", 1), ("x3*x2^-1", 1), ("x0^2*x3^-2", 1)]
     ),
-    normal=(
+    normal_basis=(
         _mono4("x3*x1^-1"),
         _mono4("x3^2*x1^-1*x2^-1"),
         _mono4("x2^3*x1^-1*x3^-2"),
@@ -262,16 +252,15 @@ _STAGE2_CUSP = _CenterTable(
         _mono4("x0^2*x2*x1^-1*x3^-2"),
     ),
     lcm_base=_mono4("x1*x2*x3^2"),
-    perms=tuple(_ALL_PERMS),
     stage=STAGE_BLOWUP2,
 )
 
-_STAGE2_WEIGHTED = _CenterTable(
-    base=MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x1"),
-    tangent=_rep4(
+_STAGE2_WEIGHTED = BlowupCenterDatum(
+    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x1"),
+    tangent_to_center=_rep4(
         [("x3*x1^-1", 1), ("x2*x1^-1", 1), ("x3*x2^-1", 1), ("x3^2*x0^-2", 1)]
     ),
-    normal=(
+    normal_basis=(
         _mono4("x3*x1^-1"),
         _mono4("x0^2*x1^-1*x2^-1"),
         _mono4("x2^3*x1^-1*x0^-2"),
@@ -280,20 +269,21 @@ _STAGE2_WEIGHTED = _CenterTable(
         _mono4("x2*x3^2*x1^-1*x0^-2"),
     ),
     lcm_base=_mono4("x0^2*x1*x2"),
-    perms=tuple(_ALL_PERMS),
     stage=STAGE_BLOWUP2,
 )
 
 
-def _expand_table(table: _CenterTable) -> list[BlowupCenterDatum]:
+def _expand_table(
+    table: BlowupCenterDatum, perms: Sequence[Sequence[int]]
+) -> list[BlowupCenterDatum]:
     centers = []
-    for perm in table.perms:
+    for perm in perms:
         mapping = _perm_mapping(perm)
         centers.append(
             BlowupCenterDatum(
-                base_ideal=table.base.remap(mapping, 4),
-                tangent_to_center=table.tangent.remap(mapping, 4),
-                normal_basis=tuple(m.remap(mapping, 4) for m in table.normal),
+                base_ideal=table.base_ideal.remap(mapping, 4),
+                tangent_to_center=table.tangent_to_center.remap(mapping, 4),
+                normal_basis=tuple(m.remap(mapping, 4) for m in table.normal_basis),
                 lcm_base=table.lcm_base.remap(mapping, 4),
                 stage=table.stage,
             )
@@ -303,12 +293,18 @@ def _expand_table(table: _CenterTable) -> list[BlowupCenterDatum]:
 
 def stage1_centers() -> list[BlowupCenterDatum]:
     """Fixed points of the first blow-up center (3 + 6 = 9 of them)."""
-    return _expand_table(_STAGE1_PENCIL) + _expand_table(_STAGE1_DOUBLE)
+    return (
+        _expand_table(_STAGE1_PENCIL, _CYCLIC_PERMS)
+        + _expand_table(_STAGE1_DOUBLE, _ALL_PERMS)
+    )
 
 
 def stage2_centers() -> list[BlowupCenterDatum]:
     """Fixed points of the second blow-up center (6 + 6 = 12 of them)."""
-    return _expand_table(_STAGE2_CUSP) + _expand_table(_STAGE2_WEIGHTED)
+    return (
+        _expand_table(_STAGE2_CUSP, _ALL_PERMS)
+        + _expand_table(_STAGE2_WEIGHTED, _ALL_PERMS)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,23 +331,22 @@ def blowup_point_tangent(
 
 
 def blowup_fixed_points(
-    center: BlowupCenterDatum,
-    lcm_base: LaurentMonomial,
-    degree: int = DEFAULT_DEGREE,
+    center: BlowupCenterDatum, degree: int = DEFAULT_DEGREE
 ) -> list[FixedPoint]:
     """Fixed points of the exceptional divisor over one center point.
 
     One candidate per normal direction mu: the ideal acquires the new
-    generator lcm_base * mu.  Candidates whose generators still share a
+    generator center.lcm_base * mu.  Candidates whose generators still share a
     common variable factor lie in the next blow-up center and are dropped
     from this stage's output.
     """
     points = []
     for mu in center.normal_basis:
-        new_gen = lcm_base * mu
+        new_gen = center.lcm_base * mu
         if not new_gen.is_regular():
             raise ValueError(
-                f"inconsistent center data: {lcm_base} * {mu} has a negative exponent"
+                f"inconsistent center data: {center.lcm_base} * {mu} has a "
+                f"negative exponent"
             )
         ideal = center.base_ideal.with_generator(new_gen)
         if ideal.has_common_factor():
@@ -455,27 +450,29 @@ def stage2_composed_tangent(
     return blowup_point_tangent(parent, direction)
 
 
+#: First-order flat limits adjoin generators of these degrees per stage.
+ORACLE_DEGREE_BOUNDS = {STAGE_BLOWUP1: 3, STAGE_BLOWUP2: 4}
+
+
 def center_oracle_agreement(
-    center: BlowupCenterDatum, lcm_base: LaurentMonomial, degree_bound: int
+    center: BlowupCenterDatum,
 ) -> list[tuple[LaurentMonomial, MonomialIdeal, MonomialIdeal]]:
     """Mismatches between flat limits and closed-form blown-up ideals.
 
-    Runs `limit_ideal_oracle` for every normal direction of the center and
+    Runs `limit_ideal_oracle`, bounded by the center's stage entry of
+    `ORACLE_DEGREE_BOUNDS`, for every normal direction of the center and
     compares with base + lcm_base * mu (discarded common-factor candidates
     included).  Returns a list of (direction, oracle ideal, closed form),
     empty when the center data is consistent.
     """
+    bound = ORACLE_DEGREE_BOUNDS[center.stage]
     mismatches = []
     for mu in center.normal_basis:
-        closed_form = center.base_ideal.with_generator(lcm_base * mu)
-        limit = limit_ideal_oracle(center.base_ideal, mu, degree_bound)
+        closed_form = center.base_ideal.with_generator(center.lcm_base * mu)
+        limit = limit_ideal_oracle(center.base_ideal, mu, bound)
         if limit != closed_form:
             mismatches.append((mu, limit, closed_form))
     return mismatches
-
-
-#: First-order flat limits adjoin generators of these degrees per stage.
-ORACLE_DEGREE_BOUNDS = {STAGE_BLOWUP1: 3, STAGE_BLOWUP2: 4}
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +484,7 @@ def enumerate_h3(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
     """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72)."""
     points = grassmann_fixed_points(degree)
     for center in stage1_centers() + stage2_centers():
-        points.extend(blowup_fixed_points(center, center.lcm_base, degree))
+        points.extend(blowup_fixed_points(center, degree))
     points.sort(key=FixedPoint.sort_key)
     seen: set[MonomialIdeal] = set()
     for point in points:

@@ -12,8 +12,9 @@ multiplicities may be negative.
 The ambient geometry is the weighted projective space P(2,1,...,1),
 realized as the quotient of ordinary projective n-space by the order-two
 group Gamma that negates x0.  Sections of O(m) on the quotient correspond
-to degree-m monomials with even x0-exponent (Gamma-invariant monomials);
-these span the spaces V[m] returned by `invariant_sections`.
+to degree-m monomials with even x0-exponent (Gamma-invariant monomials,
+as tested by `LaurentMonomial.is_invariant`); these span the spaces V[m]
+returned by `invariant_sections`.
 
 Torus-fixed curves have monomial graded ideals (`MonomialIdeal`); the
 degree-k slice of such an ideal inside the invariant ring is returned by
@@ -27,13 +28,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
-
-# Index and order of the quotient group action: Gamma negates x0, so a
-# monomial is Gamma-invariant iff its x0-exponent is divisible by 2.  Kept
-# as module constants so the kernel stays reusable for other cyclic
-# quotients; nothing else in the package changes them.
-INVARIANT_INDEX = 0
-INVARIANT_ORDER = 2
 
 
 class LaurentMonomial:
@@ -78,8 +72,8 @@ class LaurentMonomial:
         return not any(self.exps)
 
     def is_invariant(self) -> bool:
-        """True when the monomial is fixed by the quotient group Gamma."""
-        return self.exps[INVARIANT_INDEX] % INVARIANT_ORDER == 0
+        """True when the monomial is fixed by Gamma: its x0-exponent is even."""
+        return self.exps[0] % 2 == 0
 
     # -- arithmetic ----------------------------------------------------
 
@@ -96,9 +90,6 @@ class LaurentMonomial:
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
         return LaurentMonomial(a - b for a, b in zip(self.exps, other.exps))
-
-    def __pow__(self, k: int) -> "LaurentMonomial":
-        return LaurentMonomial(e * k for e in self.exps)
 
     def inverse(self) -> "LaurentMonomial":
         return LaurentMonomial(-e for e in self.exps)
@@ -142,9 +133,6 @@ class LaurentMonomial:
         # deterministic serialization and test comparison.
         self._require_same_ring(other)
         return self.exps > other.exps
-
-    def __le__(self, other: "LaurentMonomial") -> bool:
-        return self == other or self < other
 
     # -- rendering -------------------------------------------------------
 
@@ -350,7 +338,7 @@ class MonomialIdeal:
     Generators are ordinary (nonnegative-exponent) monomials; the
     constructor drops any generator divisible by another, so no generator
     divides a different one.  Ideals of Gamma-fixed curves have all
-    generators Gamma-invariant; this is checked by default.
+    generators Gamma-invariant; this is checked.
 
     >>> I = MonomialIdeal.of(4, "x1*x2", "x1*x3")
     >>> str(I)
@@ -361,9 +349,7 @@ class MonomialIdeal:
 
     __slots__ = ("generators",)
 
-    def __init__(
-        self, generators: Iterable[LaurentMonomial], *, require_invariant: bool = True
-    ):
+    def __init__(self, generators: Iterable[LaurentMonomial]):
         gens = list(dict.fromkeys(generators))
         nvars: int | None = None
         for g in gens:
@@ -375,7 +361,7 @@ class MonomialIdeal:
                 )
             if not g.is_regular():
                 raise ValueError(f"ideal generator has a negative exponent: {g}")
-            if require_invariant and not g.is_invariant():
+            if not g.is_invariant():
                 raise ValueError(f"ideal generator is not Gamma-invariant: {g}")
         reduced = [
             g
@@ -389,12 +375,9 @@ class MonomialIdeal:
         raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
-    def of(cls, nvars: int, *texts: str, require_invariant: bool = True) -> "MonomialIdeal":
+    def of(cls, nvars: int, *texts: str) -> "MonomialIdeal":
         """Convenience constructor from monomial strings."""
-        return cls(
-            (LaurentMonomial.parse(t, nvars) for t in texts),
-            require_invariant=require_invariant,
-        )
+        return cls(LaurentMonomial.parse(t, nvars) for t in texts)
 
     # -- queries -----------------------------------------------------------
 
@@ -454,31 +437,6 @@ class MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-#  Module-level operation aliases for the ring arithmetic.
-# ---------------------------------------------------------------------------
-
-
-def rep_add(a: RepElement, b: RepElement) -> RepElement:
-    """Pointwise sum of multiplicities; zero terms are dropped."""
-    return a + b
-
-
-def rep_sub(a: RepElement, b: RepElement) -> RepElement:
-    """Pointwise difference of multiplicities."""
-    return a - b
-
-
-def rep_mul(a: RepElement, b: RepElement) -> RepElement:
-    """Ring product: exponent vectors add, multiplicities multiply."""
-    return a * b
-
-
-def rep_dual(a: RepElement) -> RepElement:
-    """Dual representation: every exponent vector negated."""
-    return a.dual()
-
-
-# ---------------------------------------------------------------------------
 #  Invariant section spaces and ideal twists.
 # ---------------------------------------------------------------------------
 
@@ -511,9 +469,9 @@ def invariant_sections(n: int, m: int) -> RepElement:
     if m < 0:
         raise ValueError(f"negative degree: {m}")
     return RepElement.from_monomials(
-        LaurentMonomial(exps)
-        for exps in _degree_monomials(n + 1, m)
-        if exps[INVARIANT_INDEX] % INVARIANT_ORDER == 0
+        mono
+        for mono in map(LaurentMonomial, _degree_monomials(n + 1, m))
+        if mono.is_invariant()
     )
 
 

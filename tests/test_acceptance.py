@@ -17,7 +17,6 @@ from quartics.bott import (
     validate_weights,
 )
 from quartics.fixedpoints import (
-    ORACLE_DEGREE_BOUNDS,
     STAGE_BLOWUP1,
     STAGE_BLOWUP2,
     STAGE_GRASSMANNIAN,
@@ -79,8 +78,7 @@ def test_criterion_5_flattening_oracle_equivalence():
     (114 retained fixed points plus 12 common-factor discards)."""
     directions = 0
     for center in stage1_centers() + stage2_centers():
-        bound = ORACLE_DEGREE_BOUNDS[center.stage]
-        assert center_oracle_agreement(center, center.lcm_base, bound) == []
+        assert center_oracle_agreement(center) == []
         directions += len(center.normal_basis)
     assert directions == 126
     _report(5, "flat-limit oracle reproduces every closed-form blow-up ideal")

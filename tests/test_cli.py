@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,12 +95,6 @@ def test_count_seeded_json_reports_search(capsys):
     assert payload["seed"] == 5
     assert payload["attempts"] >= 1
     assert payload["value"] == 6028452
-
-
-def test_count_refuses_other_degrees(capsys):
-    code, _, err = run(["count", "--degree", "5"], capsys)
-    assert code == 2
-    assert "degree" in err
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +257,39 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param("count --seed 1 --range 5 3", "--range 5 3", id="count-range-reversed"),
+        pytest.param("count --seed 1 --range 1 2", "--range 1 2", id="count-range-too-small"),
+        pytest.param("weights-search --range 1 1", "--range 1 1", id="weights-search-range"),
+        pytest.param("verify --range 3 1", "--range 3 1", id="verify-range"),
+        pytest.param("fixed-points --degree -1", "--degree -1", id="fixed-points-degree"),
+        pytest.param("count --degree 5", "--degree 5", id="count-degree"),
+    ],
+)
+def test_invalid_arguments_exit_2(argv, named, capsys):
+    # Invalid input is a configuration error (exit 2, one message naming
+    # the value), never a verification failure (exit 1) or a traceback.
+    if argv.startswith("fixed-points"):
+        # Through the module entry point, to cover the __main__ path too.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartics.cli", *argv.split()],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        try:
+            code, out, err = run(argv.split(), capsys)
+        except SystemExit as exc:  # argparse usage errors
+            code, (out, err) = exc.code, capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert "error: " in last and named in last

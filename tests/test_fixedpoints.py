@@ -6,7 +6,6 @@ import pytest
 
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
-    ORACLE_DEGREE_BOUNDS,
     PERM_H,
     STAGE_BLOWUP1,
     STAGE_BLOWUP2,
@@ -186,7 +185,7 @@ def test_blowup_points_of_pencil_center():
     center = next(
         c for c in stage1_centers() if c.base_ideal == ideal("x1*x2", "x1*x3")
     )
-    points = blowup_fixed_points(center, center.lcm_base)
+    points = blowup_fixed_points(center)
     new_gens = {p.ideal.generators[-1] for p in points} | {
         g for p in points for g in p.ideal.generators
     }
@@ -204,7 +203,7 @@ def test_blowup_discards_common_factor_candidates():
     center = next(
         c for c in stage1_centers() if c.base_ideal == ideal("x1^2", "x1*x2")
     )
-    points = blowup_fixed_points(center, center.lcm_base)
+    points = blowup_fixed_points(center)
     assert len(points) == 4  # two of six candidates keep the factor x1
     produced = {p.ideal for p in points}
     assert ideal("x1^2", "x1*x2", "x1*x3^2") not in produced
@@ -221,7 +220,7 @@ def test_blowup_points_of_cusp_center():
         for c in stage2_centers()
         if c.base_ideal == ideal("x1^2", "x1*x2", "x1*x3^2")
     )
-    points = blowup_fixed_points(center, center.lcm_base)
+    points = blowup_fixed_points(center)
     assert len(points) == 6
     fourth_gens = {
         (set(p.ideal.generators) - set(center.base_ideal.generators)).pop()
@@ -242,7 +241,7 @@ def test_blowup_empty_normal_basis_returns_nothing():
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
-    assert blowup_fixed_points(degenerate, degenerate.lcm_base) == []
+    assert blowup_fixed_points(degenerate) == []
 
 
 def test_blowup_rejects_inconsistent_center_data():
@@ -255,7 +254,7 @@ def test_blowup_rejects_inconsistent_center_data():
         stage=center.stage,
     )
     with pytest.raises(ValueError):
-        blowup_fixed_points(broken, broken.lcm_base)
+        blowup_fixed_points(broken)
 
 
 def test_blowup_point_tangent_requires_normal_direction():
@@ -319,8 +318,7 @@ def test_oracle_excluded_stage2_directions_lift():
 def test_oracle_agrees_with_closed_forms_everywhere():
     total = 0
     for center in stage1_centers() + stage2_centers():
-        bound = ORACLE_DEGREE_BOUNDS[center.stage]
-        assert center_oracle_agreement(center, center.lcm_base, bound) == []
+        assert center_oracle_agreement(center) == []
         total += len(center.normal_basis)
     assert total == 126  # 54 first-stage and 72 second-stage directions
 
@@ -338,7 +336,7 @@ def test_oracle_catches_mutated_center_table():
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
-    mismatches = center_oracle_agreement(mutated, mutated.lcm_base, 3)
+    mismatches = center_oracle_agreement(mutated)
     assert mismatches
     direction, limit, closed_form = mismatches[0]
     assert direction == mono("x0^2*x2^-1*x3^-1")

@@ -12,10 +12,6 @@ from quartics.repring import (
     RepElement,
     ideal_twist,
     invariant_sections,
-    rep_add,
-    rep_dual,
-    rep_mul,
-    rep_sub,
 )
 
 
@@ -59,7 +55,6 @@ def test_monomial_arithmetic():
     assert mono("x1").divides(a)
     assert not a.divides(b)
     assert mono("x0^2*x1^-1").inverse() == mono("x0^-2*x1")
-    assert mono("x2") ** 3 == mono("x2^3")
 
 
 def test_monomial_queries():
@@ -87,27 +82,27 @@ def test_mixed_ring_sizes_error():
 
 def test_rep_add_collects_multiplicities():
     a = rep("x1*x2^-1")
-    assert rep_add(a, a).multiplicity(mono("x1*x2^-1")) == 2
-    assert rep_add(a, a).dimension == 2
+    assert (a + a).multiplicity(mono("x1*x2^-1")) == 2
+    assert (a + a).dimension == 2
 
 
 def test_rep_add_cancellation():
     a = rep("x1*x2^-1")
-    assert rep_add(a, a.negate()).is_zero()
-    assert rep_sub(rep("x1"), rep("x1")).is_zero()
+    assert (a + a.negate()).is_zero()
+    assert (rep("x1") - rep("x1")).is_zero()
 
 
 def test_rep_mul_distributes():
     left = rep("x1", "x2")
     right = rep("x0^-2")
-    assert rep_mul(left, right) == rep("x1*x0^-2", "x2*x0^-2")
+    assert left * right == rep("x1*x0^-2", "x2*x0^-2")
 
 
 def test_rep_dual_examples():
-    assert rep_dual(rep("x1*x2")) == rep("x1^-1*x2^-1")
+    assert rep("x1*x2").dual() == rep("x1^-1*x2^-1")
     a = rep("x1*x2", "x1*x3")
-    assert rep_dual(a) == rep("x1^-1*x2^-1", "x1^-1*x3^-1")
-    assert rep_dual(rep_dual(a)) == a
+    assert a.dual() == rep("x1^-1*x2^-1", "x1^-1*x3^-1")
+    assert a.dual().dual() == a
 
 
 def test_grassmannian_tangent_dimension():
@@ -183,7 +178,6 @@ def test_ideal_rejects_negative_and_noninvariant():
         MonomialIdeal([mono("x2*x1^-1")])
     with pytest.raises(ValueError):
         MonomialIdeal.of(4, "x0*x1")
-    assert MonomialIdeal.of(4, "x0*x1", require_invariant=False).generators
 
 
 def test_ideal_membership_and_common_factor():
