@@ -32,7 +32,13 @@ from .repring import LaurentMonomial, RepElement
 DEFAULT_WEIGHTS: tuple[int, int, int, int, int] = (267, 4, 17, 55, 160)
 
 #: Rejection-sampling attempt budget for the random weight search.
-DEFAULT_ATTEMPT_BUDGET = 100_000
+ATTEMPT_BUDGET = 100_000
+
+#: Fewest integers a sampling range must hold.  Every tangent character
+#: has degree 0, so shifting a range leaves its usable vectors unchanged;
+#: no five distinct integers from [1, 10] are usable, and some from
+#: [1, 11] are, so every range of at least 11 integers contains usable ones.
+MIN_RANGE_WIDTH = 11
 
 WeightVector = Sequence[int]
 
@@ -48,13 +54,11 @@ class LocalizationResult:
 def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     """Specialize a character to an integer: the dot product sum(p_i w_i).
 
-    Monomials with fewer characters than `w` use the leading weights.
-
     >>> weight_of(LaurentMonomial.parse("x2*x1^-1", 5), (267, 4, 17, 55, 160))
     13
     """
-    if m.nvars > len(w):
-        raise ValueError(f"monomial has {m.nvars} characters, weights only {len(w)}")
+    if m.nvars != len(w):
+        raise ValueError(f"monomial has {m.nvars} characters but {len(w)} weights are given")
     return sum(p * wi for p, wi in zip(m.exps, w))
 
 
@@ -96,22 +100,23 @@ def random_weight_search(
     lo: int,
     hi: int,
     points: Sequence[FixedPoint],
-    budget: int = DEFAULT_ATTEMPT_BUDGET,
 ) -> tuple[tuple[int, ...], int]:
     """Deterministic rejection sampling for a usable weight vector.
 
     Draws five distinct integers uniformly from [lo, hi] until the vector
     passes `validate_weights`; returns (weights, attempts).  The same seed
-    always returns the same vector.
+    always returns the same vector.  Raises ValueError for a range of
+    fewer than `MIN_RANGE_WIDTH` integers and RuntimeError once
+    `ATTEMPT_BUDGET` draws have failed.
     """
-    if hi - lo + 1 < 5:
-        raise ValueError(f"range [{lo}, {hi}] holds fewer than 5 distinct integers")
+    if hi - lo + 1 < MIN_RANGE_WIDTH:
+        raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
     rng = random.Random(seed)
-    for attempt in range(1, budget + 1):
+    for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
         if validate_weights(points, w):
             return w, attempt
-    raise RuntimeError(f"no usable weight vector within {budget} attempts")
+    raise RuntimeError(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
 
 
 def bott_sum(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import bott, fixedpoints
-from .fixedpoints import DEFAULT_DEGREE, BlowupCenterDatum, FixedPoint, census
+from .fixedpoints import BlowupCenterDatum, FixedPoint, census
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -58,9 +58,18 @@ def _resolve_weights(args, points: Sequence[FixedPoint]) -> tuple[tuple[int, ...
         return weights, None
     if args.seed is not None:
         lo, hi = args.range
-        weights, attempts = bott.random_weight_search(args.seed, lo, hi, points)
-        return weights, attempts
+        return _search_weights(args.seed, lo, hi, points)
     return bott.DEFAULT_WEIGHTS, None
+
+
+def _search_weights(
+    seed: int, lo: int, hi: int, points: Sequence[FixedPoint]
+) -> tuple[tuple[int, ...], int]:
+    """`bott.random_weight_search`, with an exhausted budget as a ConfigError."""
+    try:
+        return bott.random_weight_search(seed, lo, hi, points)
+    except RuntimeError as exc:
+        raise ConfigError(f"--range {lo} {hi}: {exc}") from None
 
 
 class ConfigError(Exception):
@@ -95,20 +104,14 @@ def cmd_count(args) -> int:
 
 
 def _collect_points(args) -> list[FixedPoint]:
-    h3 = fixedpoints.enumerate_h3(args.degree)
+    h3 = fixedpoints.enumerate_h3()
     if args.h3_only:
         return h3
-    return fixedpoints.assemble_h4(h3, args.degree)
+    return fixedpoints.assemble_h4(h3)
 
 
 def cmd_fixed_points(args) -> int:
     """Dump the fixed points in canonical order."""
-    if args.degree != DEFAULT_DEGREE:
-        print(
-            f"note: fibers computed at degree {args.degree}; curve-count "
-            f"semantics hold only at degree {DEFAULT_DEGREE}",
-            file=sys.stderr,
-        )
     points = _collect_points(args)
     counts = census(points)
     summary = " ".join(f"{stage}={n}" for stage, n in counts.items())
@@ -134,7 +137,7 @@ def cmd_weights_search(args) -> int:
     points = fixedpoints.assemble_h4(fixedpoints.enumerate_h3())
     lo, hi = args.range
     seed = args.seed if args.seed is not None else 0
-    weights, attempts = bott.random_weight_search(seed, lo, hi, points)
+    weights, attempts = _search_weights(seed, lo, hi, points)
     if args.json:
         payload = {
             "weights": list(weights),
@@ -283,7 +286,7 @@ def run_checks(
     reference = bott.bott_sum(h4, bott.DEFAULT_WEIGHTS).value
     values = set()
     for seed in range(base_seed, base_seed + VERIFY_SEED_COUNT):
-        w, _ = bott.random_weight_search(seed, lo, hi, h4)
+        w, _ = _search_weights(seed, lo, hi, h4)
         values.add(bott.bott_sum(h4, w).value)
     ok = values == {reference} and reference.denominator == 1
     check(
@@ -335,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, weights=False, seed=False,
-                   range_=False, degree=False, json_=False, show_terms=False,
+                   range_=False, json_=False, show_terms=False,
                    h3_only=False) -> None:
         if weights:
             p.add_argument(
@@ -348,11 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--range", nargs=2, type=int, default=[1, 10_000], metavar=("LO", "HI"),
                 help="inclusive sampling range for random weights (default 1 10000)",
-            )
-        if degree:
-            p.add_argument(
-                "--degree", type=int, default=DEFAULT_DEGREE,
-                help=f"twisting degree for fiber spaces (default {DEFAULT_DEGREE})",
             )
         if json_:
             p.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=cmd_count)
 
     p_fp = sub.add_parser("fixed-points", help="dump the fixed-point data")
-    add_common(p_fp, degree=True, json_=True, h3_only=True)
+    add_common(p_fp, json_=True, h3_only=True)
     p_fp.set_defaults(func=cmd_fixed_points)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
@@ -391,10 +389,11 @@ def _check_args(args) -> None:
     """Reject out-of-range option values before any point is built."""
     if getattr(args, "range", None) is not None:
         lo, hi = args.range
-        if hi - lo + 1 < 5:
-            raise ConfigError(f"--range {lo} {hi} holds fewer than 5 distinct integers")
-    if getattr(args, "degree", 0) < 0:
-        raise ConfigError(f"--degree {args.degree} is negative")
+        if hi - lo + 1 < bott.MIN_RANGE_WIDTH:
+            raise ConfigError(
+                f"--range {lo} {hi} holds fewer than {bott.MIN_RANGE_WIDTH} integers; "
+                f"no narrower range has a usable weight vector"
+            )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -55,14 +55,15 @@ STAGE_BLOWUP1 = "blowup1"
 STAGE_BLOWUP2 = "blowup2"
 STAGES = (STAGE_GRASSMANNIAN, STAGE_BLOWUP1, STAGE_BLOWUP2)
 
-#: Default twisting degree: the Calabi-Yau hypersurface has weighted
+#: Twisting degree of the fibers: the Calabi-Yau hypersurface has weighted
 #: degree 6, so curve counts come from the degree-6 bundle.
-DEFAULT_DEGREE = 6
+DEGREE = 6
 
 #: Hyperplane index -> where the four P(2,1,1,1) characters (x0,x1,x2,x3)
 #: land among the five P(2,1,1,1,1) characters.  The hyperplane {x_i = 0}
 #: receives the remaining weight-one coordinates in cyclic order.  Any
-#: bijective relabeling yields the same localization sum.
+#: table that fixes x0 and sends x1,x2,x3 onto the three weight-one
+#: characters other than x_i yields the same localization sum.
 PERM_H: dict[int, tuple[int, int, int, int]] = {
     1: (0, 2, 3, 4),
     2: (0, 3, 4, 1),
@@ -148,7 +149,7 @@ def grassmann_tangent(ideal: MonomialIdeal) -> RepElement:
     return (invariant_sections(3, 2) - gens) * gens.dual()
 
 
-def grassmann_fixed_points(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
+def grassmann_fixed_points() -> list[FixedPoint]:
     """The 12 fixed points of the Grassmannian stage.
 
     Pairs of invariant quadrics sharing a variable lie in the first
@@ -161,7 +162,7 @@ def grassmann_fixed_points(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
                 stage=STAGE_GRASSMANNIAN,
                 ideal=ideal,
                 tangent=grassmann_tangent(ideal),
-                fiber=fiber_rep(ideal, degree),
+                fiber=fiber_rep(ideal),
             )
         )
     points.sort(key=FixedPoint.sort_key)
@@ -330,9 +331,7 @@ def blowup_point_tangent(
     return center.tangent_to_center + RepElement.from_monomials(lines)
 
 
-def blowup_fixed_points(
-    center: BlowupCenterDatum, degree: int = DEFAULT_DEGREE
-) -> list[FixedPoint]:
+def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     """Fixed points of the exceptional divisor over one center point.
 
     One candidate per normal direction mu: the ideal acquires the new
@@ -356,7 +355,7 @@ def blowup_fixed_points(
                 stage=center.stage,
                 ideal=ideal,
                 tangent=blowup_point_tangent(center, mu),
-                fiber=fiber_rep(ideal, degree),
+                fiber=fiber_rep(ideal),
             )
         )
     return points
@@ -368,9 +367,7 @@ def blowup_fixed_points(
 # ---------------------------------------------------------------------------
 
 
-def limit_ideal_oracle(
-    base: MonomialIdeal, direction: LaurentMonomial, degree_bound: int
-) -> MonomialIdeal:
+def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> MonomialIdeal:
     """Flat limit at t=0 of the family perturbing `base` along `direction`.
 
     The family moves each generator m to m + t c mu m (mu = `direction`, a
@@ -385,12 +382,14 @@ def limit_ideal_oracle(
     a current generator cancel against it.  A surviving remainder must be a
     single monomial g — it is adjoined to the generators (with unknown
     first-order term, i.e. treated as unperturbed) and the loop repeats.
-    Remainders of degree above `degree_bound` are second-order artifacts of
-    the truncation and are skipped; a multi-monomial remainder signals a
-    case outside this computation's scope and raises.
+    First-order limits adjoin generators of degree at most one above the
+    largest generator degree of `base`; higher remainders are second-order
+    artifacts of the truncation and are skipped.  A multi-monomial
+    remainder signals a case outside this computation's scope and raises.
     """
     if direction.degree != 0:
         raise ValueError(f"direction must have degree 0: {direction}")
+    degree_bound = 1 + max(g.degree for g in base.generators)
 
     # generator -> scalar coefficient of its first-order term c * mu * m;
     # 0 encodes both "no perturbation possible" and "unknown" (adjoined).
@@ -450,26 +449,20 @@ def stage2_composed_tangent(
     return blowup_point_tangent(parent, direction)
 
 
-#: First-order flat limits adjoin generators of these degrees per stage.
-ORACLE_DEGREE_BOUNDS = {STAGE_BLOWUP1: 3, STAGE_BLOWUP2: 4}
-
-
 def center_oracle_agreement(
     center: BlowupCenterDatum,
 ) -> list[tuple[LaurentMonomial, MonomialIdeal, MonomialIdeal]]:
     """Mismatches between flat limits and closed-form blown-up ideals.
 
-    Runs `limit_ideal_oracle`, bounded by the center's stage entry of
-    `ORACLE_DEGREE_BOUNDS`, for every normal direction of the center and
+    Runs `limit_ideal_oracle` for every normal direction of the center and
     compares with base + lcm_base * mu (discarded common-factor candidates
     included).  Returns a list of (direction, oracle ideal, closed form),
     empty when the center data is consistent.
     """
-    bound = ORACLE_DEGREE_BOUNDS[center.stage]
     mismatches = []
     for mu in center.normal_basis:
         closed_form = center.base_ideal.with_generator(center.lcm_base * mu)
-        limit = limit_ideal_oracle(center.base_ideal, mu, bound)
+        limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
             mismatches.append((mu, limit, closed_form))
     return mismatches
@@ -480,11 +473,11 @@ def center_oracle_agreement(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_h3(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
+def enumerate_h3() -> list[FixedPoint]:
     """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72)."""
-    points = grassmann_fixed_points(degree)
+    points = grassmann_fixed_points()
     for center in stage1_centers() + stage2_centers():
-        points.extend(blowup_fixed_points(center, degree))
+        points.extend(blowup_fixed_points(center))
     points.sort(key=FixedPoint.sort_key)
     seen: set[MonomialIdeal] = set()
     for point in points:
@@ -494,15 +487,11 @@ def enumerate_h3(degree: int = DEFAULT_DEGREE) -> list[FixedPoint]:
     return points
 
 
-def assemble_h4(
-    h3: Sequence[FixedPoint],
-    degree: int = DEFAULT_DEGREE,
-    perm_h: Mapping[int, tuple[int, int, int, int]] = PERM_H,
-) -> list[FixedPoint]:
+def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     """The 504 fixed points of the P(2,1,1,1,1) component.
 
     Re-embeds each of the 126 points into each invariant hyperplane
-    {x_i = 0}, i in 1..4, along `perm_h`; the ideal gains the generator
+    {x_i = 0}, i in 1..4, along `PERM_H`; the ideal gains the generator
     x_i, the tangent space gains the hyperplane's three directions
     x_j / x_i (j in 1..4, j != i), and the fiber is recomputed in the
     five-character ring.
@@ -510,11 +499,8 @@ def assemble_h4(
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     points = []
-    for i in sorted(perm_h):
-        images = perm_h[i]
-        if images[0] != 0 or sorted(images[1:]) != sorted({1, 2, 3, 4} - {i}):
-            raise ValueError(f"hyperplane {i}: invalid character images {images}")
-        mapping = dict(enumerate(images))
+    for i in sorted(PERM_H):
+        mapping = dict(enumerate(PERM_H[i]))
         x_i = LaurentMonomial.parse(f"x{i}", 5)
         dual_tangent = RepElement.from_monomials(
             LaurentMonomial.parse(f"x{j}*x{i}^-1", 5) for j in range(1, 5) if j != i
@@ -529,7 +515,7 @@ def assemble_h4(
                     stage=point.stage,
                     ideal=ideal,
                     tangent=tangent,
-                    fiber=fiber_rep(ideal, degree),
+                    fiber=fiber_rep(ideal),
                     hyperplane=i,
                 )
             )
@@ -537,15 +523,15 @@ def assemble_h4(
     return points
 
 
-def fiber_rep(I: MonomialIdeal, d: int) -> RepElement:
-    """Sections of the twisted structure sheaf: V[d] minus the ideal slice.
+def fiber_rep(I: MonomialIdeal) -> RepElement:
+    """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
-    Spanned by the invariant degree-d monomials not lying in the ideal;
+    Spanned by the invariant degree-6 monomials not lying in the ideal;
     always multiplicity-1 for valid curve ideals.
     """
-    result = invariant_sections(I.nvars - 1, d) - ideal_twist(I, d)
+    result = invariant_sections(I.nvars - 1, DEGREE) - ideal_twist(I, DEGREE)
     if any(mult < 0 for _, mult in result.items()):
-        raise ValueError(f"ideal slice exceeds the section space at degree {d}: {I}")
+        raise ValueError(f"ideal slice exceeds the section space at degree {DEGREE}: {I}")
     return result
 
 

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartics import bott
 from quartics.bott import (
     DEFAULT_WEIGHTS,
+    MIN_RANGE_WIDTH,
     bott_sum,
     find_zero_weight,
     prod_weights,
@@ -35,11 +38,10 @@ def test_weight_of_examples():
     assert weight_of(mono("x0^2*x1^-1*x2^-1"), DEFAULT_WEIGHTS) == 513
 
 
-def test_weight_of_pads_shorter_monomials():
-    # Four-character monomials use the leading four weights.
-    assert weight_of(mono("x2*x1^-1", 4), DEFAULT_WEIGHTS) == 13
-    with pytest.raises(ValueError):
-        weight_of(mono("x2*x1^-1", 6), DEFAULT_WEIGHTS)
+def test_weight_of_requires_one_weight_per_character():
+    for nvars in (4, 6):
+        with pytest.raises(ValueError):
+            weight_of(mono("x2*x1^-1", nvars), DEFAULT_WEIGHTS)
 
 
 def test_prod_weights_examples():
@@ -116,15 +118,33 @@ def test_random_weight_search_postconditions(h4_points):
 
 
 def test_random_weight_search_range_too_small(h4_points):
-    with pytest.raises(ValueError):
-        random_weight_search(0, 1, 4, h4_points)
+    for hi in (4, MIN_RANGE_WIDTH - 1):
+        with pytest.raises(ValueError):
+            random_weight_search(0, 1, hi, h4_points)
 
 
-def test_random_weight_search_exhaustion(h4_points):
-    # A five-integer range admits only permutations of the same set; when
-    # none is usable the search must stop at its budget.
-    with pytest.raises(RuntimeError):
-        random_weight_search(0, 1, 5, h4_points, budget=10)
+def test_random_weight_search_exhaustion(h4_points, monkeypatch):
+    # In [1, 11] only 48 of 55440 ordered vectors are usable; seed 0 draws
+    # none of them in its first ten attempts.
+    monkeypatch.setattr(bott, "ATTEMPT_BUDGET", 10)
+    with pytest.raises(RuntimeError, match="within 10 attempts"):
+        random_weight_search(0, 1, MIN_RANGE_WIDTH, h4_points)
+
+
+def test_min_range_width_is_the_narrowest_usable_range(h4_points):
+    characters = {m.exps for p in h4_points for m, _ in p.tangent.items()}
+    # Degree 0 makes usability invariant under shifting the range, so
+    # ranges starting at 1 stand for all ranges of their width.
+    assert all(sum(c) == 0 for c in characters)
+
+    def usable(w):
+        return all(sum(e * x for e, x in zip(c, w)) != 0 for c in characters)
+
+    narrow = range(1, MIN_RANGE_WIDTH)
+    assert not any(usable(w) for w in permutations(narrow, 5))
+    wide = range(1, MIN_RANGE_WIDTH + 1)
+    w = next(w for w in permutations(wide, 5) if usable(w))
+    assert validate_weights(h4_points, w)
 
 
 # ---------------------------------------------------------------------------

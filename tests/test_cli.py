@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quartics import cli
+from quartics import bott, cli, fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum
 from quartics.fixedpoints import fixed_point_from_record, stage1_centers
 from quartics.repring import LaurentMonomial
@@ -142,18 +147,6 @@ def test_fixed_points_dumps_are_byte_identical(capsys):
         assert run(args, capsys) == run(args, capsys)
 
 
-def test_fixed_points_other_degree_allowed_with_note(capsys):
-    code, out, err = run(["fixed-points", "--h3-only", "--degree", "4", "--json"], capsys)
-    assert code == 0
-    assert "degree 4" in err
-    records = json.loads(out)
-    # At degree 4 the fiber of (x0^2, x1^2) consists of the 9 invariant
-    # quartics with no x0 and at most one x1.
-    first = records[0]
-    assert first["ideal"] == ["x0^2", "x1^2"]
-    assert len(first["fiber"]) == 9
-
-
 def test_fixed_points_json_round_trip_recomputes_count(capsys):
     code, out, _ = run(["fixed-points", "--json"], capsys)
     assert code == 0
@@ -266,6 +259,8 @@ def test_unknown_command_is_a_usage_error(capsys):
         pytest.param("count --seed 1 --range 1 2", "--range 1 2", id="count-range-too-small"),
         pytest.param("weights-search --range 1 1", "--range 1 1", id="weights-search-range"),
         pytest.param("verify --range 3 1", "--range 3 1", id="verify-range"),
+        pytest.param("count --seed 1 --range 1 10", "--range 1 10", id="count-range-narrow"),
+        pytest.param("verify --range -4 5", "--range -4 5", id="verify-range-narrow"),
         pytest.param("fixed-points --degree -1", "--degree -1", id="fixed-points-degree"),
         pytest.param("count --degree 5", "--degree 5", id="count-degree"),
     ],
@@ -293,3 +288,60 @@ def test_invalid_arguments_exit_2(argv, named, capsys):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert "error: " in last and named in last
+
+
+@contextmanager
+def prebuilt(h3_points, h4_points):
+    """Serve the shared fixture points to `cli` in place of rebuilding them."""
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points), \
+            mock.patch.object(fixedpoints, "assemble_h4", lambda h3: h4_points):
+        yield
+
+
+@pytest.mark.parametrize("command", ["count --seed 0", "weights-search", "verify"])
+def test_exhausted_weight_search_exits_2(command, h3_points, h4_points, capsys, monkeypatch):
+    # Seed 0 draws no usable vector from [1, 11] in its first ten attempts.
+    monkeypatch.setattr(bott, "ATTEMPT_BUDGET", 10)
+    with prebuilt(h3_points, h4_points):
+        code, out, err = run([*command.split(), "--range", "1", "11"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: --range 1 11: no usable weight vector within 10 attempts"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["count", "weights-search"]),
+    seed=st.none() | st.integers(0, 3),
+    range_=st.none() | st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    weights=st.none() | st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    json_=st.booleans(),
+)
+@example(command="count", seed=0, range_=(1, 11), weights=None, json_=True)
+def test_cli_flags_fuzz(command, seed, range_, weights, json_, h3_points, h4_points):
+    argv = [command]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if range_ is not None:
+        argv += ["--range", *map(str, range_)]
+    if weights is not None and command == "count":
+        argv += ["--weights", *map(str, weights)]
+    if json_:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    # A small budget keeps searches in ranges of about 11 integers short;
+    # running out of it must still exit 2.
+    with prebuilt(h3_points, h4_points), mock.patch.object(bott, "ATTEMPT_BUDGET", 50), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif json_:
+        json.loads(out.getvalue())

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from quartics import fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
     PERM_H,
@@ -270,18 +271,18 @@ def test_blowup_point_tangent_requires_normal_direction():
 
 def test_oracle_lifts_single_syzygy():
     base = ideal("x1*x2", "x1*x3")
-    limit = limit_ideal_oracle(base, mono("x0^2*x1^-1*x2^-1"), 3)
+    limit = limit_ideal_oracle(base, mono("x0^2*x1^-1*x2^-1"))
     assert limit == ideal("x1*x2", "x1*x3", "x0^2*x3")
 
 
 def test_oracle_trivial_direction_is_identity():
     base = ideal("x1*x2", "x1*x3")
-    assert limit_ideal_oracle(base, mono("1"), 3) == base
+    assert limit_ideal_oracle(base, mono("1")) == base
 
 
 def test_oracle_requires_degree_zero_direction():
     with pytest.raises(ValueError):
-        limit_ideal_oracle(ideal("x1*x2", "x1*x3"), mono("x2"), 3)
+        limit_ideal_oracle(ideal("x1*x2", "x1*x3"), mono("x2"))
 
 
 def test_oracle_needs_distinct_scalars():
@@ -290,7 +291,7 @@ def test_oracle_needs_distinct_scalars():
     # degenerates to a coordinate change along the blow-up center and no
     # new generator appears, so the iteration must use distinct scalars.
     base = ideal("x1*x2", "x1*x3")
-    limit = limit_ideal_oracle(base, mono("x2*x1^-1"), 3)
+    limit = limit_ideal_oracle(base, mono("x2*x1^-1"))
     assert limit == ideal("x1*x2", "x1*x3", "x2^2*x3")
 
 
@@ -298,10 +299,10 @@ def test_oracle_reproduces_stage1_discards():
     # Directions discarded at the first stage flow into the second-stage
     # center ideals; the oracle computes the same closed form for them.
     base = ideal("x1^2", "x1*x2")
-    assert limit_ideal_oracle(base, mono("x3^2*x1^-1*x2^-1"), 3) == ideal(
+    assert limit_ideal_oracle(base, mono("x3^2*x1^-1*x2^-1")) == ideal(
         "x1^2", "x1*x2", "x1*x3^2"
     )
-    assert limit_ideal_oracle(base, mono("x0^2*x1^-1*x2^-1"), 3) == ideal(
+    assert limit_ideal_oracle(base, mono("x0^2*x1^-1*x2^-1")) == ideal(
         "x1^2", "x1*x2", "x0^2*x1"
     )
 
@@ -311,8 +312,8 @@ def test_oracle_excluded_stage2_directions_lift():
     # the common-factor locus leave the ideal unchanged: every syzygy of
     # the perturbed family already lifts.
     base = ideal("x1^2", "x1*x2", "x1*x3^2")
-    assert limit_ideal_oracle(base, mono("x3*x2^-1"), 4) == base
-    assert limit_ideal_oracle(base, mono("x0^2*x3^-2"), 4) == base
+    assert limit_ideal_oracle(base, mono("x3*x2^-1")) == base
+    assert limit_ideal_oracle(base, mono("x0^2*x3^-2")) == base
 
 
 def test_oracle_agrees_with_closed_forms_everywhere():
@@ -441,16 +442,7 @@ def test_assemble_rejects_wrong_input_size(h3_points):
         assemble_h4(h3_points[:10])
 
 
-def test_assemble_rejects_bad_hyperplane_images(h3_points):
-    with pytest.raises(ValueError):
-        assemble_h4(h3_points, perm_h={1: (0, 2, 3, 3), 2: (0, 3, 4, 1),
-                                       3: (0, 4, 1, 2), 4: (0, 1, 2, 3)})
-    with pytest.raises(ValueError):
-        assemble_h4(h3_points, perm_h={1: (2, 0, 3, 4), 2: (0, 3, 4, 1),
-                                       3: (0, 4, 1, 2), 4: (0, 1, 2, 3)})
-
-
-def test_relabeled_assembly_gives_the_same_count(h3_points):
+def test_relabeled_assembly_gives_the_same_count(h3_points, monkeypatch):
     # The hyperplane/character correspondence is a convention: any
     # bijective relabeling of the weight-one characters yields the same
     # localization value.  In fact the 126 points are closed under
@@ -458,7 +450,8 @@ def test_relabeled_assembly_gives_the_same_count(h3_points):
     # assembled point set is identical and the sum follows.
     alt_perm_h = {1: (0, 4, 3, 2), 2: (0, 1, 4, 3), 3: (0, 2, 1, 4), 4: (0, 3, 2, 1)}
     default = assemble_h4(h3_points)
-    relabeled = assemble_h4(h3_points, perm_h=alt_perm_h)
+    monkeypatch.setattr(fixedpoints, "PERM_H", alt_perm_h)
+    relabeled = assemble_h4(h3_points)
     assert set(relabeled) == set(default)
     assert validate_weights(relabeled, DEFAULT_WEIGHTS)
     assert (
@@ -473,16 +466,18 @@ def test_relabeled_assembly_gives_the_same_count(h3_points):
 
 
 def test_fiber_rep_examples():
-    assert {str(m) for m in fiber_rep(ideal("x0^2", "x1^2"), 2)} == {
-        "x2^2", "x3^2", "x2*x3", "x1*x2", "x1*x3",
+    # The fiber of (x0^2, x1^2) consists of the 13 invariant sextics with
+    # no x0 and at most one x1.
+    assert set(fiber_rep(ideal("x0^2", "x1^2"))) == {
+        LaurentMonomial((0, e1, e2, 6 - e1 - e2))
+        for e1 in (0, 1)
+        for e2 in range(7 - e1)
     }
-    maximal = ideal("x0^2", "x1", "x2", "x3")
-    assert fiber_rep(maximal, 2).is_zero()
-    assert fiber_rep(maximal, 6).is_zero()
+    assert fiber_rep(ideal("x0^2", "x1", "x2", "x3")).is_zero()
 
 
 def test_fiber_rank_thirteen_at_degree_six(h3_points):
-    assert {fiber_rep(p.ideal, 6).dimension for p in h3_points} == {13}
+    assert {fiber_rep(p.ideal).dimension for p in h3_points} == {13}
 
 
 def test_lemma_injectivity_examples():
