@@ -7,10 +7,10 @@ Subcommands:
 * ``fixed-points`` — dump the fixed-point data (126 records with
   ``--h3-only``, 504 otherwise) as text or JSON;
 * ``verify`` — run the full invariant suite and report pass/fail per
-  check;
-* ``weights-search`` — find a usable random weight vector.
+  check.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
+141 (128 + SIGPIPE) when the reader closes stdout early.
 Informational notes go to stderr; stdout carries only the results, so
 JSON output is always parseable.
 """
@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import bott, fixedpoints
-from .fixedpoints import BlowupCenterDatum, FixedPoint, census
+from .fixedpoints import FixedPoint, census
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INVALID_CONFIG = 2
+EXIT_BROKEN_PIPE = 141
 
 #: Number of random weight vectors exercised by the verify suite.
 VERIFY_SEED_COUNT = 10
@@ -103,16 +105,11 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _collect_points(args) -> list[FixedPoint]:
-    h3 = fixedpoints.enumerate_h3()
-    if args.h3_only:
-        return h3
-    return fixedpoints.assemble_h4(h3)
-
-
 def cmd_fixed_points(args) -> int:
     """Dump the fixed points in canonical order."""
-    points = _collect_points(args)
+    points = fixedpoints.enumerate_h3()
+    if not args.h3_only:
+        points = fixedpoints.assemble_h4(points)
     counts = census(points)
     summary = " ".join(f"{stage}={n}" for stage, n in counts.items())
     per_hyperplane = "" if args.h3_only else " (126 per hyperplane x 4)"
@@ -132,26 +129,6 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-def cmd_weights_search(args) -> int:
-    """Search for a usable weight vector and report it with the attempt count."""
-    points = fixedpoints.assemble_h4(fixedpoints.enumerate_h3())
-    lo, hi = args.range
-    seed = args.seed if args.seed is not None else 0
-    weights, attempts = _search_weights(seed, lo, hi, points)
-    if args.json:
-        payload = {
-            "weights": list(weights),
-            "attempts": attempts,
-            "seed": seed,
-            "range": [lo, hi],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"weights: {' '.join(map(str, weights))}")
-        print(f"attempts: {attempts}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 #  The verification suite.
 # ---------------------------------------------------------------------------
@@ -164,16 +141,10 @@ class CheckResult:
     detail: str
 
 
-def run_checks(
-    base_seed: int = 0,
-    lo: int = 1,
-    hi: int = 10_000,
-    stage1: Sequence[BlowupCenterDatum] | None = None,
-    stage2: Sequence[BlowupCenterDatum] | None = None,
-) -> list[CheckResult]:
-    """Run every invariant check; center tables may be injected for tests."""
-    stage1 = list(stage1) if stage1 is not None else fixedpoints.stage1_centers()
-    stage2 = list(stage2) if stage2 is not None else fixedpoints.stage2_centers()
+def run_checks(base_seed: int = 0, lo: int = 1, hi: int = 10_000) -> list[CheckResult]:
+    """Run every invariant check."""
+    stage1 = fixedpoints.stage1_centers()
+    stage2 = fixedpoints.stage2_centers()
     results: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -337,56 +308,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, weights=False, seed=False,
-                   range_=False, json_=False, show_terms=False,
-                   h3_only=False) -> None:
-        if weights:
-            p.add_argument(
-                "--weights", nargs=5, type=int, metavar=("W0", "W1", "W2", "W3", "W4"),
-                help="explicit one-parameter subgroup (default 267 4 17 55 160)",
-            )
-        if seed:
-            p.add_argument("--seed", type=int, help="seed for the random weight search")
-        if range_:
-            p.add_argument(
-                "--range", nargs=2, type=int, default=[1, 10_000], metavar=("LO", "HI"),
-                help="inclusive sampling range for random weights (default 1 10000)",
-            )
-        if json_:
-            p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        if show_terms:
-            p.add_argument(
-                "--show-terms", action="store_true",
-                help="include the per-fixed-point summands",
-            )
-        if h3_only:
-            p.add_argument(
-                "--h3-only", action="store_true",
-                help="dump the 126 points of the P(2,1,1,1) component only",
-            )
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--seed", type=int, help="seed for the random weight search")
+    search.add_argument(
+        "--range", nargs=2, type=int, default=[1, 10_000], metavar=("LO", "HI"),
+        help="inclusive sampling range for random weights (default 1 10000)",
+    )
+    json_ = argparse.ArgumentParser(add_help=False)
+    json_.add_argument("--json", action="store_true", help="emit JSON on stdout")
 
-    p_count = sub.add_parser("count", help="evaluate the localization count")
-    add_common(p_count, weights=True, seed=True, range_=True, json_=True,
-               show_terms=True)
+    p_count = sub.add_parser(
+        "count", parents=[search, json_], help="evaluate the localization count"
+    )
+    p_count.add_argument(
+        "--weights", nargs=5, type=int, metavar=("W0", "W1", "W2", "W3", "W4"),
+        help="explicit one-parameter subgroup (default 267 4 17 55 160)",
+    )
+    p_count.add_argument(
+        "--show-terms", action="store_true",
+        help="include the per-fixed-point summands",
+    )
     p_count.set_defaults(func=cmd_count)
 
-    p_fp = sub.add_parser("fixed-points", help="dump the fixed-point data")
-    add_common(p_fp, json_=True, h3_only=True)
+    p_fp = sub.add_parser("fixed-points", parents=[json_], help="dump the fixed-point data")
+    p_fp.add_argument(
+        "--h3-only", action="store_true",
+        help="dump the 126 points of the P(2,1,1,1) component only",
+    )
     p_fp.set_defaults(func=cmd_fixed_points)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    add_common(p_verify, seed=True, range_=True, json_=True)
+    p_verify = sub.add_parser("verify", parents=[search, json_], help="run the invariant suite")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_search = sub.add_parser("weights-search", help="find a usable weight vector")
-    add_common(p_search, seed=True, range_=True, json_=True)
-    p_search.set_defaults(func=cmd_weights_search)
 
     return parser
 
 
 def _check_args(args) -> None:
     """Reject out-of-range option values before any point is built."""
+    if getattr(args, "weights", None) is not None and args.seed is not None:
+        raise ConfigError("--weights and --seed exclude each other")
     if getattr(args, "range", None) is not None:
         lo, hi = args.range
         if hi - lo + 1 < bott.MIN_RANGE_WIDTH:
@@ -405,6 +365,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
+    except BrokenPipeError:
+        # The reader is gone; send what is still buffered to devnull so
+        # that the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

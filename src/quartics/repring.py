@@ -24,7 +24,7 @@ degree-k slice of such an ideal inside the invariant ring is returned by
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Mapping
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
@@ -119,20 +119,13 @@ class LaurentMonomial:
                 exps[mapping[i]] += e
         return LaurentMonomial(exps)
 
-    # -- identity and ordering ------------------------------------------
+    # -- identity --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentMonomial) and self.exps == other.exps
 
     def __hash__(self) -> int:
         return hash(self.exps)
-
-    def __lt__(self, other: "LaurentMonomial") -> bool:
-        # Canonical order: descending lexicographic on exponent vectors,
-        # so x0^2 sorts before x1^2 sorts before x1*x2.  Fixed once for
-        # deterministic serialization and test comparison.
-        self._require_same_ring(other)
-        return self.exps > other.exps
 
     # -- rendering -------------------------------------------------------
 
@@ -181,7 +174,7 @@ class RepElement:
     >>> a = RepElement({LaurentMonomial((0, 1, -1, 0)): 1})
     >>> (a + a).dimension
     2
-    >>> (a - a).is_zero()
+    >>> (a - a) == RepElement()
     True
     """
 
@@ -230,17 +223,12 @@ class RepElement:
         """Total multiplicity (virtual dimension; may be negative)."""
         return sum(self._terms.values())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def multiplicity(self, monomial: LaurentMonomial) -> int:
-        return self._terms.get(monomial, 0)
-
     def __contains__(self, monomial: LaurentMonomial) -> bool:
         return monomial in self._terms
 
     def items(self) -> list[tuple[LaurentMonomial, int]]:
-        """Terms in canonical order."""
+        """Terms in canonical order: descending lexicographic on exponents."""
+        # Fixed once, for deterministic serialization and test comparison.
         return sorted(self._terms.items(), key=lambda t: t[0].exps, reverse=True)
 
     def support(self) -> list[LaurentMonomial]:
@@ -278,10 +266,7 @@ class RepElement:
         return RepElement(acc)
 
     def __sub__(self, other: "RepElement") -> "RepElement":
-        return self + other.negate()
-
-    def negate(self) -> "RepElement":
-        return RepElement({m: -k for m, k in self._terms.items()})
+        return self + RepElement({m: -k for m, k in other._terms.items()})
 
     def __mul__(self, other: "RepElement") -> "RepElement":
         self._check_compatible(other)
@@ -390,17 +375,9 @@ class MonomialIdeal:
     def contains(self, monomial: LaurentMonomial) -> bool:
         return any(g.divides(monomial) for g in self.generators)
 
-    def common_factor(self) -> LaurentMonomial:
-        """Entrywise gcd of all generators."""
-        gens = self.generators
-        acc = gens[0]
-        for g in gens[1:]:
-            acc = acc.gcd(g)
-        return acc
-
     def has_common_factor(self) -> bool:
         """True when all generators share a nontrivial monomial factor."""
-        return not self.common_factor().is_trivial()
+        return not reduce(LaurentMonomial.gcd, self.generators).is_trivial()
 
     def with_generator(self, monomial: LaurentMonomial) -> "MonomialIdeal":
         return MonomialIdeal(self.generators + (monomial,))

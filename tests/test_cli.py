@@ -25,6 +25,21 @@ def run(args: list[str], capsys) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def module_env() -> dict[str, str]:
+    """Environment for a `python -m quartics.cli` subprocess of this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@contextmanager
+def prebuilt(h3_points, h4_points):
+    """Serve the shared fixture points to `cli` in place of rebuilding them."""
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points), \
+            mock.patch.object(fixedpoints, "assemble_h4", lambda h3: h4_points):
+        yield
+
+
 # ---------------------------------------------------------------------------
 #  count
 # ---------------------------------------------------------------------------
@@ -91,6 +106,7 @@ def test_count_seeded_runs_are_identical(capsys):
     assert first == second
     assert first[0] == 0
     assert first[1].strip() == "6028452"
+    assert "weights: " in first[2] and "attempts: " in first[2]
 
 
 def test_count_seeded_json_reports_search(capsys):
@@ -100,6 +116,16 @@ def test_count_seeded_json_reports_search(capsys):
     assert payload["seed"] == 5
     assert payload["attempts"] >= 1
     assert payload["value"] == 6028452
+
+
+def test_count_seeded_search_stays_in_range(capsys, h4_points):
+    code, out, _ = run(["count", "--seed", "9", "--range", "1", "500", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    weights = tuple(payload["weights"])
+    assert all(1 <= w <= 500 for w in weights)
+    assert payload["value"] == 6028452
+    assert bott_sum(h4_points, weights).value == 6028452
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +206,11 @@ def test_verify_json(capsys):
     }
 
 
-def test_verify_detects_mutated_center_table():
+def test_verify_detects_mutated_center_table(h3_points, h4_points, monkeypatch):
     # Fault injection: corrupting a center's normal basis must trip the
     # flat-limit-oracle check (and with it the stage-1 table identity).
+    # The points come prebuilt from the real tables, so only the table
+    # checks see the mutation.
     centers = stage1_centers()
     first = centers[0]
     mutated = type(first)(
@@ -193,7 +221,9 @@ def test_verify_detects_mutated_center_table():
         lcm_base=first.lcm_base,
         stage=first.stage,
     )
-    results = {r.name: r for r in cli.run_checks(stage1=[mutated] + centers[1:])}
+    with prebuilt(h3_points, h4_points):
+        monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [mutated] + centers[1:])
+        results = {r.name: r for r in cli.run_checks()}
     assert not results["flat-limit-oracle"].ok
     assert not results["stage1-tables"].ok
     assert results["census"].ok
@@ -207,32 +237,6 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL")
     assert "1 of 1 checks failed" in err
-
-
-# ---------------------------------------------------------------------------
-#  weights-search
-# ---------------------------------------------------------------------------
-
-
-def test_weights_search_text(capsys):
-    first = run(["weights-search", "--seed", "3"], capsys)
-    second = run(["weights-search", "--seed", "3"], capsys)
-    assert first == second
-    code, out, _ = first
-    assert code == 0
-    assert out.startswith("weights: ")
-    assert "attempts: " in out
-
-
-def test_weights_search_json_finds_valid_vector(capsys, h4_points):
-    code, out, _ = run(
-        ["weights-search", "--seed", "9", "--range", "1", "500", "--json"], capsys
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["range"] == [1, 500]
-    weights = tuple(payload["weights"])
-    assert bott_sum(h4_points, weights).value == 6028452
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +261,18 @@ def test_unknown_command_is_a_usage_error(capsys):
     [
         pytest.param("count --seed 1 --range 5 3", "--range 5 3", id="count-range-reversed"),
         pytest.param("count --seed 1 --range 1 2", "--range 1 2", id="count-range-too-small"),
-        pytest.param("weights-search --range 1 1", "--range 1 1", id="weights-search-range"),
         pytest.param("verify --range 3 1", "--range 3 1", id="verify-range"),
         pytest.param("count --seed 1 --range 1 10", "--range 1 10", id="count-range-narrow"),
         pytest.param("verify --range -4 5", "--range -4 5", id="verify-range-narrow"),
         pytest.param("fixed-points --degree -1", "--degree -1", id="fixed-points-degree"),
         pytest.param("count --degree 5", "--degree 5", id="count-degree"),
+        pytest.param(
+            "count --weights 267 4 17 55 160 --seed 1 --json", "--weights and --seed",
+            id="count-weights-with-seed",
+        ),
+        pytest.param("weights-search --seed 0", "weights-search", id="weights-search-removed"),
+        pytest.param("fixed-points --seed 1", "--seed 1", id="fixed-points-seed"),
+        pytest.param("verify --weights 1 2 3 4 5", "--weights 1 2 3 4 5", id="verify-weights"),
     ],
 )
 def test_invalid_arguments_exit_2(argv, named, capsys):
@@ -270,12 +280,9 @@ def test_invalid_arguments_exit_2(argv, named, capsys):
     # the value), never a verification failure (exit 1) or a traceback.
     if argv.startswith("fixed-points"):
         # Through the module entry point, to cover the __main__ path too.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "quartics.cli", *argv.split()],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60, env=module_env(),
         )
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
@@ -290,15 +297,21 @@ def test_invalid_arguments_exit_2(argv, named, capsys):
     assert "error: " in last and named in last
 
 
-@contextmanager
-def prebuilt(h3_points, h4_points):
-    """Serve the shared fixture points to `cli` in place of rebuilding them."""
-    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points), \
-            mock.patch.object(fixedpoints, "assemble_h4", lambda h3: h4_points):
-        yield
+def test_closed_stdout_exits_141():
+    # The text dump (about 195 KB) outgrows the pipe buffer, so writing
+    # fails once the reader has closed its end after the first line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quartics.cli", "fixed-points"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    assert proc.stdout.readline().startswith(b"counts: ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
-@pytest.mark.parametrize("command", ["count --seed 0", "weights-search", "verify"])
+@pytest.mark.parametrize("command", ["count --seed 0", "verify"])
 def test_exhausted_weight_search_exits_2(command, h3_points, h4_points, capsys, monkeypatch):
     # Seed 0 draws no usable vector from [1, 11] in its first ten attempts.
     monkeypatch.setattr(bott, "ATTEMPT_BUDGET", 10)
@@ -313,20 +326,19 @@ def test_exhausted_weight_search_exits_2(command, h3_points, h4_points, capsys, 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    command=st.sampled_from(["count", "weights-search"]),
     seed=st.none() | st.integers(0, 3),
     range_=st.none() | st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
     weights=st.none() | st.lists(st.integers(-3, 3), min_size=5, max_size=5),
     json_=st.booleans(),
 )
-@example(command="count", seed=0, range_=(1, 11), weights=None, json_=True)
-def test_cli_flags_fuzz(command, seed, range_, weights, json_, h3_points, h4_points):
-    argv = [command]
+@example(seed=0, range_=(1, 11), weights=None, json_=True)
+def test_cli_flags_fuzz(seed, range_, weights, json_, h3_points, h4_points):
+    argv = ["count"]
     if seed is not None:
         argv += ["--seed", str(seed)]
     if range_ is not None:
         argv += ["--range", *map(str, range_)]
-    if weights is not None and command == "count":
+    if weights is not None:
         argv += ["--weights", *map(str, weights)]
     if json_:
         argv.append("--json")

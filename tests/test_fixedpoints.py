@@ -78,8 +78,9 @@ def test_grassmannian_tangent_terms():
         p for p in grassmann_fixed_points() if p.ideal == ideal("x0^2", "x1^2")
     )
     assert point.tangent.dimension == 10
-    assert point.tangent.multiplicity(mono("x2^2*x0^-2")) == 1
-    assert point.tangent.multiplicity(mono("x2*x3*x1^-2")) == 1
+    terms = dict(point.tangent.items())
+    assert terms[mono("x2^2*x0^-2")] == 1
+    assert terms[mono("x2*x3*x1^-2")] == 1
 
 
 def test_grassmannian_orbits_under_cyclic_relabeling():
@@ -434,7 +435,7 @@ def test_h4_hyperplane_generator_and_fiber(h4_points):
 def test_h4_tangent_contains_hyperplane_directions(h4_points):
     point = next(p for p in h4_points if p.hyperplane == 2)
     for j in (1, 3, 4):
-        assert point.tangent.multiplicity(mono(f"x{j}*x2^-1", 5)) >= 1
+        assert dict(point.tangent.items()).get(mono(f"x{j}*x2^-1", 5), 0) >= 1
 
 
 def test_assemble_rejects_wrong_input_size(h3_points):
@@ -473,7 +474,7 @@ def test_fiber_rep_examples():
         for e1 in (0, 1)
         for e2 in range(7 - e1)
     }
-    assert fiber_rep(ideal("x0^2", "x1", "x2", "x3")).is_zero()
+    assert fiber_rep(ideal("x0^2", "x1", "x2", "x3")) == RepElement()
 
 
 def test_fiber_rank_thirteen_at_degree_six(h3_points):

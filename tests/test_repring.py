@@ -82,14 +82,14 @@ def test_mixed_ring_sizes_error():
 
 def test_rep_add_collects_multiplicities():
     a = rep("x1*x2^-1")
-    assert (a + a).multiplicity(mono("x1*x2^-1")) == 2
+    assert dict((a + a).items()) == {mono("x1*x2^-1"): 2}
     assert (a + a).dimension == 2
 
 
 def test_rep_add_cancellation():
     a = rep("x1*x2^-1")
-    assert (a + a.negate()).is_zero()
-    assert (rep("x1") - rep("x1")).is_zero()
+    assert a + RepElement({mono("x1*x2^-1"): -1}) == RepElement()
+    assert rep("x1") - rep("x1") == RepElement()
 
 
 def test_rep_mul_distributes():
@@ -185,8 +185,10 @@ def test_ideal_membership_and_common_factor():
     assert ideal.contains(mono("x1^2*x2"))
     assert not ideal.contains(mono("x1^2"))
     assert ideal.has_common_factor()
-    assert str(ideal.common_factor()) == "x1"
+    assert MonomialIdeal.of(4, "x0^2*x1", "x0^2*x2").has_common_factor()
     assert not MonomialIdeal.of(4, "x0^2", "x1^2").has_common_factor()
+    # Pairwise common factors are not enough: the gcd runs over all generators.
+    assert not MonomialIdeal.of(4, "x1*x2", "x1*x3", "x2*x3").has_common_factor()
 
 
 def test_ideal_twist_deduplicates():
