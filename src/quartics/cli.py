@@ -35,6 +35,10 @@ EXIT_BROKEN_PIPE = 141
 #: Number of random weight vectors exercised by the verify suite.
 VERIFY_SEED_COUNT = 10
 
+#: Inclusive sampling range of the random weight search when `--range`
+#: is not given.
+DEFAULT_RANGE = (1, 10_000)
+
 
 def _fraction_json(value):
     return int(value) if value.denominator == 1 else str(value)
@@ -59,7 +63,7 @@ def _resolve_weights(args, points: Sequence[FixedPoint]) -> tuple[tuple[int, ...
             )
         return weights, None
     if args.seed is not None:
-        lo, hi = args.range
+        lo, hi = args.range or DEFAULT_RANGE
         return _search_weights(args.seed, lo, hi, points)
     return bott.DEFAULT_WEIGHTS, None
 
@@ -141,7 +145,9 @@ class CheckResult:
     detail: str
 
 
-def run_checks(base_seed: int = 0, lo: int = 1, hi: int = 10_000) -> list[CheckResult]:
+def run_checks(
+    base_seed: int = 0, lo: int = DEFAULT_RANGE[0], hi: int = DEFAULT_RANGE[1]
+) -> list[CheckResult]:
     """Run every invariant check."""
     stage1 = fixedpoints.stage1_centers()
     stage2 = fixedpoints.stage2_centers()
@@ -185,7 +191,7 @@ def run_checks(base_seed: int = 0, lo: int = 1, hi: int = 10_000) -> list[CheckR
     )
 
     clean = all(
-        not p.tangent.contains_trivial()
+        not any(m.is_trivial() for m in p.tangent)
         and all(k >= 1 for _, k in p.tangent.items())
         and all(k >= 1 for _, k in p.fiber.items())
         for p in h3 + h4
@@ -273,8 +279,12 @@ def run_checks(base_seed: int = 0, lo: int = 1, hi: int = 10_000) -> list[CheckR
 
 def cmd_verify(args) -> int:
     """Run the invariant suite; any failing check exits nonzero."""
-    lo, hi = args.range
-    results = run_checks(args.seed if args.seed is not None else 0, lo, hi)
+    lo, hi = args.range or DEFAULT_RANGE
+    try:
+        results = run_checks(args.seed if args.seed is not None else 0, lo, hi)
+    except (ValueError, RuntimeError) as exc:
+        # A build that breaks one of its own invariants fails the suite.
+        results = [CheckResult("build", False, f"{type(exc).__name__}: {exc}")]
     if args.json:
         print(
             json.dumps(
@@ -311,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--seed", type=int, help="seed for the random weight search")
     search.add_argument(
-        "--range", nargs=2, type=int, default=[1, 10_000], metavar=("LO", "HI"),
-        help="inclusive sampling range for random weights (default 1 10000)",
+        "--range", nargs=2, type=int, metavar=("LO", "HI"),
+        help="inclusive sampling range for random weights (default %d %d)" % DEFAULT_RANGE,
     )
     json_ = argparse.ArgumentParser(add_help=False)
     json_.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -347,6 +357,8 @@ def _check_args(args) -> None:
     """Reject out-of-range option values before any point is built."""
     if getattr(args, "weights", None) is not None and args.seed is not None:
         raise ConfigError("--weights and --seed exclude each other")
+    if args.command == "count" and args.range is not None and args.seed is None:
+        raise ConfigError("--range applies to count only with --seed")
     if getattr(args, "range", None) is not None:
         lo, hi = args.range
         if hi - lo + 1 < bott.MIN_RANGE_WIDTH:

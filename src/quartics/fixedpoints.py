@@ -188,13 +188,8 @@ def _rep4(pairs: Iterable[tuple[str, int]]) -> RepElement:
     return RepElement((_mono4(t), k) for t, k in pairs)
 
 
-def _perm_mapping(images: Sequence[int]) -> dict[int, int]:
-    """Index mapping fixing x0 and sending x1,x2,x3 to the given images."""
-    return {0: 0, 1: images[0], 2: images[1], 3: images[2]}
-
-
-_CYCLIC_PERMS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
-_ALL_PERMS = [tuple(p) for p in permutations((1, 2, 3))]
+_CYCLIC_PERMS = [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
+_ALL_PERMS = [(0,) + p for p in permutations((1, 2, 3))]
 
 
 # First blow-up, center type (x1*x2, x1*x3): a pencil with common factor
@@ -279,13 +274,12 @@ def _expand_table(
 ) -> list[BlowupCenterDatum]:
     centers = []
     for perm in perms:
-        mapping = _perm_mapping(perm)
         centers.append(
             BlowupCenterDatum(
-                base_ideal=table.base_ideal.remap(mapping, 4),
-                tangent_to_center=table.tangent_to_center.remap(mapping, 4),
-                normal_basis=tuple(m.remap(mapping, 4) for m in table.normal_basis),
-                lcm_base=table.lcm_base.remap(mapping, 4),
+                base_ideal=table.base_ideal.remap(perm, 4),
+                tangent_to_center=table.tangent_to_center.remap(perm, 4),
+                normal_basis=tuple(m.remap(perm, 4) for m in table.normal_basis),
+                lcm_base=table.lcm_base.remap(perm, 4),
                 stage=table.stage,
             )
         )
@@ -384,8 +378,9 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
     first-order term, i.e. treated as unperturbed) and the loop repeats.
     First-order limits adjoin generators of degree at most one above the
     largest generator degree of `base`; higher remainders are second-order
-    artifacts of the truncation and are skipped.  A multi-monomial
-    remainder signals a case outside this computation's scope and raises.
+    artifacts of the truncation and are skipped.  The remainder of a pair
+    is always the single monomial direction * lcm of the pair, so no
+    multi-monomial case arises.
     """
     if direction.degree != 0:
         raise ValueError(f"direction must have degree 0: {direction}")
@@ -500,16 +495,13 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     points = []
     for i in sorted(PERM_H):
-        mapping = dict(enumerate(PERM_H[i]))
         x_i = LaurentMonomial.parse(f"x{i}", 5)
         dual_tangent = RepElement.from_monomials(
             LaurentMonomial.parse(f"x{j}*x{i}^-1", 5) for j in range(1, 5) if j != i
         )
         for point in h3:
-            if point.ideal.nvars != 4:
-                raise ValueError(f"expected four characters: {point.ideal}")
-            ideal = point.ideal.remap(mapping, 5).with_generator(x_i)
-            tangent = point.tangent.remap(mapping, 5) + dual_tangent
+            ideal = point.ideal.remap(PERM_H[i], 5).with_generator(x_i)
+            tangent = point.tangent.remap(PERM_H[i], 5) + dual_tangent
             points.append(
                 FixedPoint(
                     stage=point.stage,
@@ -527,12 +519,10 @@ def fiber_rep(I: MonomialIdeal) -> RepElement:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
     Spanned by the invariant degree-6 monomials not lying in the ideal;
-    always multiplicity-1 for valid curve ideals.
+    multiplicity-1, because the ideal slice is drawn from the same
+    section space.
     """
-    result = invariant_sections(I.nvars - 1, DEGREE) - ideal_twist(I, DEGREE)
-    if any(mult < 0 for _, mult in result.items()):
-        raise ValueError(f"ideal slice exceeds the section space at degree {DEGREE}: {I}")
-    return result
+    return invariant_sections(I.nvars - 1, DEGREE) - ideal_twist(I, DEGREE)
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:

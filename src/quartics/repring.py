@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
@@ -107,16 +108,12 @@ class LaurentMonomial:
         self._require_same_ring(other)
         return LaurentMonomial(min(a, b) for a, b in zip(self.exps, other.exps))
 
-    def remap(self, mapping: Mapping[int, int], nvars: int) -> "LaurentMonomial":
-        """Carry the monomial into another ring along an index mapping.
-
-        `mapping` sends each old character index to a new one; indices
-        with zero exponent may be omitted from the mapping.
-        """
+    def remap(self, perm: Sequence[int], nvars: int) -> "LaurentMonomial":
+        """Carry the monomial into a ring of `nvars` characters, where
+        character i becomes character perm[i]."""
         exps = [0] * nvars
-        for i, e in enumerate(self.exps):
-            if e:
-                exps[mapping[i]] += e
+        for i, e in zip(perm, self.exps, strict=True):
+            exps[i] += e
         return LaurentMonomial(exps)
 
     # -- identity --------------------------------------------------------
@@ -184,22 +181,16 @@ class RepElement:
         self,
         terms: Mapping[LaurentMonomial, int] | Iterable[tuple[LaurentMonomial, int]] = (),
     ):
+        # Every ring operation accumulates here.  The character count is
+        # checked before zeros are dropped, so a cancelled term still counts.
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[LaurentMonomial, int] = {}
-        nvars: int | None = None
         for monomial, mult in items:
-            if nvars is None:
-                nvars = monomial.nvars
-            elif monomial.nvars != nvars:
-                raise ValueError(
-                    f"mismatched character count: {monomial.nvars} vs {nvars}"
-                )
-            new = acc.get(monomial, 0) + int(mult)
-            if new:
-                acc[monomial] = new
-            else:
-                acc.pop(monomial, None)
-        object.__setattr__(self, "_terms", acc)
+            acc[monomial] = acc.get(monomial, 0) + int(mult)
+        counts = {monomial.nvars for monomial in acc}
+        if len(counts) > 1:
+            raise ValueError(f"mismatched character counts: {sorted(counts)}")
+        object.__setattr__(self, "_terms", {m: k for m, k in acc.items() if k})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RepElement is immutable")
@@ -210,13 +201,6 @@ class RepElement:
         return cls((m, 1) for m in monomials)
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def nvars(self) -> int | None:
-        """Character count, or None for the zero element."""
-        for monomial in self._terms:
-            return monomial.nvars
-        return None
 
     @property
     def dimension(self) -> int:
@@ -241,55 +225,30 @@ class RepElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def contains_trivial(self) -> bool:
-        for monomial in self._terms:
-            if monomial.is_trivial():
-                return True
-        return False
-
     # -- arithmetic --------------------------------------------------------
 
-    def _check_compatible(self, other: "RepElement") -> None:
-        a, b = self.nvars, other.nvars
-        if a is not None and b is not None and a != b:
-            raise ValueError(f"mismatched character count: {a} vs {b}")
-
     def __add__(self, other: "RepElement") -> "RepElement":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for monomial, mult in other._terms.items():
-            new = acc.get(monomial, 0) + mult
-            if new:
-                acc[monomial] = new
-            else:
-                acc.pop(monomial, None)
-        return RepElement(acc)
+        return RepElement(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "RepElement") -> "RepElement":
-        return self + RepElement({m: -k for m, k in other._terms.items()})
+        return RepElement(
+            chain(self._terms.items(), ((m, -k) for m, k in other._terms.items()))
+        )
 
     def __mul__(self, other: "RepElement") -> "RepElement":
-        self._check_compatible(other)
-        acc: dict[LaurentMonomial, int] = {}
-        for m1, k1 in self._terms.items():
-            for m2, k2 in other._terms.items():
-                product = m1 * m2
-                new = acc.get(product, 0) + k1 * k2
-                if new:
-                    acc[product] = new
-                else:
-                    acc.pop(product, None)
-        return RepElement(acc)
+        return RepElement(
+            (m1 * m2, k1 * k2)
+            for m1, k1 in self._terms.items()
+            for m2, k2 in other._terms.items()
+        )
 
     def dual(self) -> "RepElement":
         """Invert every character; multiplicities are preserved."""
         return RepElement({m.inverse(): k for m, k in self._terms.items()})
 
-    def remap(self, mapping: Mapping[int, int], nvars: int) -> "RepElement":
-        """Carry every term into another ring along an index mapping."""
-        return RepElement(
-            (m.remap(mapping, nvars), k) for m, k in self._terms.items()
-        )
+    def remap(self, perm: Sequence[int], nvars: int) -> "RepElement":
+        """Carry every term into another ring along `LaurentMonomial.remap`."""
+        return RepElement((m.remap(perm, nvars), k) for m, k in self._terms.items())
 
     # -- identity and rendering ---------------------------------------------
 
@@ -386,8 +345,8 @@ class MonomialIdeal:
         """The generators as a multiplicity-1 representation element."""
         return RepElement.from_monomials(self.generators)
 
-    def remap(self, mapping: Mapping[int, int], nvars: int) -> "MonomialIdeal":
-        return MonomialIdeal(g.remap(mapping, nvars) for g in self.generators)
+    def remap(self, perm: Sequence[int], nvars: int) -> "MonomialIdeal":
+        return MonomialIdeal(g.remap(perm, nvars) for g in self.generators)
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical comparison key fixing a deterministic point order.
@@ -463,8 +422,6 @@ def ideal_twist(I: MonomialIdeal, k: int) -> RepElement:
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    if k < 0:
-        raise ValueError(f"negative degree: {k}")
     sections = invariant_sections(I.nvars - 1, k)
     return RepElement.from_monomials(
         m for m in sections.support() if I.contains(m)

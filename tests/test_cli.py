@@ -239,6 +239,20 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "1 of 1 checks failed" in err
 
 
+def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
+    # A build that trips one of its own invariants (here assemble_h4's
+    # point count) is a failed verification, not a traceback.
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points[:-1]):
+        code, out, err = run(["verify"], capsys)
+        assert code == 1
+        assert out.startswith("FAIL") and "125" in out.splitlines()[0]
+        assert "Traceback" not in err
+        code, out, _ = run(["verify", "--json"], capsys)
+    assert code == 1
+    [result] = json.loads(out)
+    assert not result["ok"] and "125" in result["detail"]
+
+
 # ---------------------------------------------------------------------------
 #  argument handling
 # ---------------------------------------------------------------------------
@@ -273,6 +287,8 @@ def test_unknown_command_is_a_usage_error(capsys):
         pytest.param("weights-search --seed 0", "weights-search", id="weights-search-removed"),
         pytest.param("fixed-points --seed 1", "--seed 1", id="fixed-points-seed"),
         pytest.param("verify --weights 1 2 3 4 5", "--weights 1 2 3 4 5", id="verify-weights"),
+        pytest.param("count --range 1 100", "--range applies to count only with --seed",
+                     id="count-range-without-seed"),
     ],
 )
 def test_invalid_arguments_exit_2(argv, named, capsys):

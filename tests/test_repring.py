@@ -73,6 +73,11 @@ def test_mixed_ring_sizes_error():
         rep("x1", nvars=4) + rep("x1", nvars=5)
     with pytest.raises(ValueError):
         rep("x1", nvars=4) * rep("x1", nvars=5)
+    with pytest.raises(ValueError):
+        rep("x1", nvars=4) - rep("x1", nvars=5)
+    # A zero multiplicity does not hide a term of the wrong ring.
+    with pytest.raises(ValueError):
+        RepElement([(mono("x1", 4), 1), (mono("x1", 5), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +262,29 @@ def test_rep_mul_distributes_over_add(a, b, c):
 def test_dual_is_multiplicative_involution(a, b):
     assert (a * b).dual() == a.dual() * b.dual()
     assert a.dual().dual() == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(reps, reps)
+def test_ring_operations_match_a_dict_model(a, b):
+    # +, - and * against sums and a convolution over plain dicts.
+    def model(pairs):
+        acc = {}
+        for m, k in pairs:
+            acc[m] = acc.get(m, 0) + k
+        return {m: k for m, k in acc.items() if k}
+
+    x, y = a.items(), b.items()
+    expected = {
+        "+": model(x + y),
+        "-": model(x + [(m, -k) for m, k in y]),
+        "*": model((m1 * m2, k1 * k2) for m1, k1 in x for m2, k2 in y),
+    }
+    for op, result in (("+", a + b), ("-", a - b), ("*", a * b)):
+        terms = dict(result.items())
+        assert terms == expected[op], op
+        assert 0 not in terms.values(), op
+        assert len(result) == len(terms), op
 
 
 @settings(max_examples=60, deadline=None)
