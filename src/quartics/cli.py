@@ -202,31 +202,30 @@ def run_checks(
         "no trivial character, all multiplicities >= 1",
     )
 
-    bad1 = [
-        c.base_ideal
-        for c in stage1
-        if c.ambient_tangent() != fixedpoints.grassmann_tangent(c.base_ideal)
-    ]
-    check(
-        "stage1-tables",
-        not bad1,
-        f"tangent + normal matches Hom(I, V[2]/I) at {len(stage1)} centers"
-        if not bad1
-        else f"mismatch at {bad1}",
-    )
-
-    bad2 = [
-        c.base_ideal
-        for c in stage2
-        if fixedpoints.stage2_composed_tangent(c, stage1) != c.ambient_tangent()
-    ]
-    check(
-        "stage2-tables",
-        not bad2,
-        f"tangent + normal matches the blow-up composition at {len(stage2)} centers"
-        if not bad2
-        else f"mismatch at {bad2}",
-    )
+    # At every center, the ambient tangent minus the center tangent is the
+    # stored normal space: 6 distinct degree-0 characters of multiplicity 1.
+    for name, centers, ambient, source in (
+        ("stage1-tables", stage1, fixedpoints.grassmann_tangent, "Hom(I, V[2]/I)"),
+        ("stage2-tables", stage2,
+         lambda base: fixedpoints.stage2_composed_tangent(base, stage1),
+         "the blow-up composition"),
+    ):
+        bad = []
+        for c in centers:
+            normal = ambient(c.base_ideal) - c.tangent_to_center
+            lines = normal.items()
+            if normal != c.normal_basis or len(lines) != 6 or any(
+                k != 1 or m.degree for m, k in lines
+            ):
+                bad.append(c.base_ideal)
+        check(
+            name,
+            not bad,
+            f"{source} minus the center tangent is the stored normal space, "
+            f"6 distinct degree-0 characters, at {len(centers)} centers"
+            if not bad
+            else f"mismatch at {bad}",
+        )
 
     mismatches = []
     directions = 0

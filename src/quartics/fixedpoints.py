@@ -28,19 +28,18 @@ x_xi of the exceptional divisor over a center point x:
             = T_center(x) + {xi} + sum over other normal characters eta of
               {eta * xi^-1}
 
-where the normal space N(x) has a basis of degree-0 semiinvariant
-directions recorded per center below.  The center tables (tangent space
-and normal basis at each blow-up center) are hardcoded data; their
-consistency with independently computed ambient tangent spaces is an
-invariant checked by the test suite, and `limit_ideal_oracle` recomputes
-every blown-up ideal from first principles as a flat limit.
+where the normal space N(x) is the ambient tangent minus T_center(x): six
+degree-0 semiinvariant characters of multiplicity one.  Stage-1 centers
+are derived from the pencils l*W they parameterize; the two stage-2 rows
+give their base ideal, lcm and center tangent.  `limit_ideal_oracle`
+recomputes every blown-up ideal from first principles as a flat limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable, Sequence
 
 from .repring import (
     LaurentMonomial,
@@ -104,27 +103,27 @@ class FixedPoint:
 class BlowupCenterDatum:
     """Tangent/normal data at one torus-fixed point of a blow-up center.
 
-    `normal_basis` lists the degree-0 semiinvariant characters of the
-    normal space; `lcm_base` is the least common multiple of the generator
-    pair whose syzygy is lifted, so the candidate fixed point in direction
-    mu acquires the new generator lcm_base * mu.  `stage` tags the stage of
-    the points this center produces.
+    `normal_basis` is the normal space, the ambient tangent minus
+    `tangent_to_center`: degree-0 semiinvariant characters, one candidate
+    fixed point per character.  `lcm_base` is the least common multiple of
+    the generator pair whose syzygy is lifted, so the candidate fixed point
+    in direction mu acquires the new generator lcm_base * mu.  `stage` tags
+    the stage of the points this center produces.
     """
 
     base_ideal: MonomialIdeal
     tangent_to_center: RepElement
-    normal_basis: tuple[LaurentMonomial, ...]
+    normal_basis: RepElement
     lcm_base: LaurentMonomial
     stage: str
 
-    def ambient_tangent(self) -> RepElement:
-        """Tangent to the ambient space at the center point.
 
-        The center's tangent space plus one line per normal direction;
-        equals the independently computed ambient tangent (an invariant
-        exercised by the test suite).
-        """
-        return self.tangent_to_center + RepElement.from_monomials(self.normal_basis)
+def _center(
+    base: MonomialIdeal, tangent: RepElement, lcm: LaurentMonomial,
+    ambient: RepElement, stage: str,
+) -> BlowupCenterDatum:
+    """The center whose normal space is `ambient` minus `tangent`."""
+    return BlowupCenterDatum(base, tangent, ambient - tangent, lcm, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +141,12 @@ def _quadric_pair_ideals() -> list[MonomialIdeal]:
     return ideals
 
 
-def grassmann_tangent(ideal: MonomialIdeal) -> RepElement:
-    """Tangent to the Grassmannian of quadric pencils at a pair of quadrics:
-    Hom(I, V[2]/I) = (V[2] - I) * dual(I)."""
-    gens = ideal.as_rep()
-    return (invariant_sections(3, 2) - gens) * gens.dual()
+def grassmann_tangent(span: MonomialIdeal) -> RepElement:
+    """Tangent to the Grassmannian of V[d] at the span S of the generators,
+    all of degree d: Hom(S, V[d]/S) = (V[d] - S) * dual(S)."""
+    gens = span.as_rep()
+    d = span.generators[0].degree
+    return (invariant_sections(span.nvars - 1, d) - gens) * gens.dual()
 
 
 def grassmann_fixed_points() -> list[FixedPoint]:
@@ -170,136 +170,66 @@ def grassmann_fixed_points() -> list[FixedPoint]:
 
 
 # ---------------------------------------------------------------------------
-#  Blow-up center tables.
-#
-#  Each table below is given at the identity labeling of the weight-one
-#  coordinates x1,x2,x3; `stage1_centers` and `stage2_centers` expand it
-#  over the permutation orbit indicated.
-#  T entries and normal directions are degree-0 Laurent monomials in the
-#  four characters.
+#  Blow-up centers.
 # ---------------------------------------------------------------------------
 
 
-def _mono4(text: str) -> LaurentMonomial:
-    return LaurentMonomial.parse(text, 4)
+def stage1_centers() -> list[BlowupCenterDatum]:
+    """Fixed points of the first blow-up center (3 + 6 = 9 of them).
 
+    The center is the locus P(V[1]) x G(2, V[1]) of pencils l*W with a
+    common linear factor; its fixed points are the coordinate pairs
+    (l, W), 3 with l outside W and 6 with l inside W.  The center's
+    tangent is Hom(l, V[1]/l) + Hom(W, V[1]/W), and its normal space is
+    the rest of the Grassmannian tangent Hom(l*W, V[2]/l*W).
 
-def _rep4(pairs: Iterable[tuple[str, int]]) -> RepElement:
-    return RepElement((_mono4(t), k) for t, k in pairs)
-
-
-_CYCLIC_PERMS = [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
-_ALL_PERMS = [(0,) + p for p in permutations((1, 2, 3))]
-
-
-# First blow-up, center type (x1*x2, x1*x3): a pencil with common factor
-# x1 and coprime second factors.  The ideal is symmetric in x2,x3, so the
-# three cyclic relabelings already cover its orbit.
-_STAGE1_PENCIL = BlowupCenterDatum(
-    base_ideal=MonomialIdeal.of(4, "x1*x2", "x1*x3"),
-    tangent_to_center=_rep4(
-        [("x1*x2^-1", 1), ("x1*x3^-1", 1), ("x2*x1^-1", 1), ("x3*x1^-1", 1)]
-    ),
-    normal_basis=(
-        _mono4("x0^2*x1^-1*x2^-1"),
-        _mono4("x0^2*x1^-1*x3^-1"),
-        _mono4("x2*x1^-1"),
-        _mono4("x3*x1^-1"),
-        _mono4("x3^2*x1^-1*x2^-1"),
-        _mono4("x2^2*x1^-1*x3^-1"),
-    ),
-    lcm_base=_mono4("x1*x2*x3"),
-    stage=STAGE_BLOWUP1,
-)
-
-# First blow-up, center type (x1^2, x1*x2): common factor x1 with a
-# repeated root.  Not symmetric in x2,x3: all six relabelings occur.
-_STAGE1_DOUBLE = BlowupCenterDatum(
-    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2"),
-    tangent_to_center=_rep4([("x3*x1^-1", 2), ("x3*x2^-1", 1), ("x2*x1^-1", 1)]),
-    normal_basis=(
-        _mono4("x0^2*x1^-2"),
-        _mono4("x0^2*x1^-1*x2^-1"),
-        _mono4("x2^2*x1^-2"),
-        _mono4("x3^2*x1^-2"),
-        _mono4("x3^2*x1^-1*x2^-1"),
-        _mono4("x2*x3*x1^-2"),
-    ),
-    lcm_base=_mono4("x1^2*x2"),
-    stage=STAGE_BLOWUP1,
-)
-
-# Second blow-up centers: the two candidate families from the type
-# (x1^2, x1*x2) whose lifted generator keeps the common factor x1.
-# Directions x3*x2^-1 and x0^2*x3^-2 (respectively x3^2*x0^-2) stay inside
-# the common-factor locus and belong to the center's own tangent space,
-# not to the normal basis.
-_STAGE2_CUSP = BlowupCenterDatum(
-    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2", "x1*x3^2"),
-    tangent_to_center=_rep4(
-        [("x3*x1^-1", 1), ("x2*x1^-1", 1), ("x3*x2^-1", 1), ("x0^2*x3^-2", 1)]
-    ),
-    normal_basis=(
-        _mono4("x3*x1^-1"),
-        _mono4("x3^2*x1^-1*x2^-1"),
-        _mono4("x2^3*x1^-1*x3^-2"),
-        _mono4("x2^2*x1^-1*x3^-1"),
-        _mono4("x2*x1^-1"),
-        _mono4("x0^2*x2*x1^-1*x3^-2"),
-    ),
-    lcm_base=_mono4("x1*x2*x3^2"),
-    stage=STAGE_BLOWUP2,
-)
-
-_STAGE2_WEIGHTED = BlowupCenterDatum(
-    base_ideal=MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x1"),
-    tangent_to_center=_rep4(
-        [("x3*x1^-1", 1), ("x2*x1^-1", 1), ("x3*x2^-1", 1), ("x3^2*x0^-2", 1)]
-    ),
-    normal_basis=(
-        _mono4("x3*x1^-1"),
-        _mono4("x0^2*x1^-1*x2^-1"),
-        _mono4("x2^3*x1^-1*x0^-2"),
-        _mono4("x2^2*x3*x1^-1*x0^-2"),
-        _mono4("x2*x1^-1"),
-        _mono4("x2*x3^2*x1^-1*x0^-2"),
-    ),
-    lcm_base=_mono4("x0^2*x1*x2"),
-    stage=STAGE_BLOWUP2,
-)
-
-
-def _expand_table(
-    table: BlowupCenterDatum, perms: Sequence[Sequence[int]]
-) -> list[BlowupCenterDatum]:
+    >>> center = next(c for c in stage1_centers() if str(c.base_ideal) == "(x1*x2, x1*x3)")
+    >>> print(center.tangent_to_center)
+    x1*x3^-1 + x1*x2^-1 + x1^-1*x2 + x1^-1*x3
+    >>> print(center.normal_basis)
+    x0^2*x1^-1*x3^-1 + x0^2*x1^-1*x2^-1 + x1^-1*x2^2*x3^-1 + x1^-1*x2 + x1^-1*x3 + x1^-1*x2^-1*x3^2
+    """
+    linear = invariant_sections(3, 1).support()
     centers = []
-    for perm in perms:
-        centers.append(
-            BlowupCenterDatum(
-                base_ideal=table.base_ideal.remap(perm, 4),
-                tangent_to_center=table.tangent_to_center.remap(perm, 4),
-                normal_basis=tuple(m.remap(perm, 4) for m in table.normal_basis),
-                lcm_base=table.lcm_base.remap(perm, 4),
-                stage=table.stage,
-            )
-        )
+    for ell, pencil in product(linear, combinations(linear, 2)):
+        base = MonomialIdeal(ell * w for w in pencil)
+        line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
+        tangent = grassmann_tangent(line) + grassmann_tangent(span)
+        lcm = base.generators[0].lcm(base.generators[1])
+        centers.append(_center(base, tangent, lcm, grassmann_tangent(base), STAGE_BLOWUP1))
     return centers
 
 
-def stage1_centers() -> list[BlowupCenterDatum]:
-    """Fixed points of the first blow-up center (3 + 6 = 9 of them)."""
-    return (
-        _expand_table(_STAGE1_PENCIL, _CYCLIC_PERMS)
-        + _expand_table(_STAGE1_DOUBLE, _ALL_PERMS)
-    )
+# Second blow-up centers, as (base ideal, lcm_base, tangent to the center)
+# at the identity labeling of x1,x2,x3: the two candidate families from
+# the type (x1^2, x1*x2) whose lifted generator keeps the common factor
+# x1.  Directions x3*x2^-1 and x0^2*x3^-2 (respectively x3^2*x0^-2) stay
+# inside the common-factor locus and belong to the center's own tangent
+# space, not to the normal space.
+_STAGE2_ROWS = (
+    (("x1^2", "x1*x2", "x1*x3^2"), "x1*x2*x3^2",
+     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x0^2*x3^-2")),
+    (("x1^2", "x1*x2", "x0^2*x1"), "x0^2*x1*x2",
+     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x3^2*x0^-2")),
+)
 
 
 def stage2_centers() -> list[BlowupCenterDatum]:
-    """Fixed points of the second blow-up center (6 + 6 = 12 of them)."""
-    return (
-        _expand_table(_STAGE2_CUSP, _ALL_PERMS)
-        + _expand_table(_STAGE2_WEIGHTED, _ALL_PERMS)
-    )
+    """Fixed points of the second blow-up center (6 + 6 = 12 of them):
+    each row of `_STAGE2_ROWS` under the six relabelings of x1,x2,x3."""
+    stage1 = stage1_centers()
+    centers = []
+    for gens, lcm, tangent in _STAGE2_ROWS:
+        for images in permutations((1, 2, 3)):
+            perm = (0, *images)
+            base = MonomialIdeal.of(4, *gens).remap(perm, 4)
+            center_tangent = RepElement.from_monomials(
+                LaurentMonomial.parse(t, 4).remap(perm, 4) for t in tangent
+            )
+            lcm_base = LaurentMonomial.parse(lcm, 4).remap(perm, 4)
+            ambient = stage2_composed_tangent(base, stage1)
+            centers.append(_center(base, center_tangent, lcm_base, ambient, STAGE_BLOWUP2))
+    return centers
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +348,24 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
 
 
 def stage2_composed_tangent(
-    center: BlowupCenterDatum, stage1: Sequence[BlowupCenterDatum]
+    base: MonomialIdeal, stage1: Sequence[BlowupCenterDatum]
 ) -> RepElement:
-    """Ambient tangent at a second-stage center, assembled independently.
+    """Ambient tangent at the second-stage center with base ideal `base`.
 
     A second-stage center point sits on the exceptional divisor of the
     first blow-up: its base ideal extends a first-stage base by one
     generator lcm * xi.  Locating that parent center and direction, the
-    ambient tangent follows from the blow-up tangent decomposition and
-    must match the hardcoded table's tangent-plus-normal sum.
+    ambient tangent follows from the blow-up tangent decomposition.
     """
     parents = [
-        c for c in stage1 if set(c.base_ideal.generators) < set(center.base_ideal.generators)
+        c for c in stage1 if set(c.base_ideal.generators) < set(base.generators)
     ]
     if len(parents) != 1:
-        raise ValueError(f"no unique parent center for {center.base_ideal}")
+        raise ValueError(f"no unique parent center for {base}")
     parent = parents[0]
-    extra = [
-        g for g in center.base_ideal.generators
-        if g not in parent.base_ideal.generators
-    ]
+    extra = [g for g in base.generators if g not in parent.base_ideal.generators]
     if len(extra) != 1:
-        raise ValueError(f"expected one extra generator in {center.base_ideal}")
+        raise ValueError(f"expected one extra generator in {base}")
     direction = extra[0] / parent.lcm_base
     return blowup_point_tangent(parent, direction)
 
@@ -568,22 +494,3 @@ def fixed_point_record(point: FixedPoint) -> dict:
         ],
         "fiber": [str(m) for m in point.fiber.support()],
     }
-
-
-def fixed_point_from_record(record: Mapping) -> FixedPoint:
-    """Inverse of `fixed_point_record`."""
-    nvars = 4 if record["hyperplane"] is None else 5
-    return FixedPoint(
-        stage=record["stage"],
-        ideal=MonomialIdeal(
-            LaurentMonomial.parse(t, nvars) for t in record["ideal"]
-        ),
-        tangent=RepElement(
-            (LaurentMonomial.parse(t["monomial"], nvars), t["multiplicity"])
-            for t in record["tangent"]
-        ),
-        fiber=RepElement.from_monomials(
-            LaurentMonomial.parse(t, nvars) for t in record["fiber"]
-        ),
-        hyperplane=record["hyperplane"],
-    )

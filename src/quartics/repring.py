@@ -23,6 +23,7 @@ degree-k slice of such an ideal inside the invariant ring is returned by
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache, reduce
 from itertools import chain
@@ -48,7 +49,7 @@ class LaurentMonomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        object.__setattr__(self, "exps", tuple(int(e) for e in exps))
+        object.__setattr__(self, "exps", tuple(map(operator.index, exps)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentMonomial is immutable")
@@ -186,7 +187,7 @@ class RepElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[LaurentMonomial, int] = {}
         for monomial, mult in items:
-            acc[monomial] = acc.get(monomial, 0) + int(mult)
+            acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
         counts = {monomial.nvars for monomial in acc}
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")

@@ -85,15 +85,22 @@ def test_criterion_5_flattening_oracle_equivalence():
 
 
 def test_criterion_6_center_table_consistency():
-    """Stage-1 tables equal Hom(I, V[2]/I); stage-2 tables equal the
-    blow-up tangent composition, term for term."""
+    """At every center the ambient tangent (Hom(I, V[2]/I) at stage 1, the
+    blow-up tangent composition at stage 2) is the center tangent plus the
+    normal space, term for term, and the normal space is 6 distinct
+    degree-0 characters of multiplicity 1."""
     v2 = invariant_sections(3, 2)
     stage1 = stage1_centers()
-    for center in stage1:
+    for center in stage1 + stage2_centers():
         gens = center.base_ideal.as_rep()
-        assert center.ambient_tangent() == (v2 - gens) * gens.dual()
-    for center in stage2_centers():
-        assert center.ambient_tangent() == stage2_composed_tangent(center, stage1)
+        if center.stage == STAGE_BLOWUP1:
+            ambient = (v2 - gens) * gens.dual()
+        else:
+            ambient = stage2_composed_tangent(center.base_ideal, stage1)
+        assert center.tangent_to_center + center.normal_basis == ambient
+        normal = center.normal_basis.items()
+        assert len(normal) == 6
+        assert all(k == 1 and m.degree == 0 for m, k in normal)
     _report(6, "center tables match independent tangent computations")
 
 

@@ -13,10 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_point_from_record
 from quartics import bott, cli, fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum
-from quartics.fixedpoints import fixed_point_from_record, stage1_centers
-from quartics.repring import LaurentMonomial
+from quartics.fixedpoints import (
+    BlowupCenterDatum,
+    grassmann_tangent,
+    stage1_centers,
+    stage2_centers,
+    stage2_composed_tangent,
+)
+from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
 
 
 def run(args: list[str], capsys) -> tuple[int, str, str]:
@@ -206,27 +213,98 @@ def test_verify_json(capsys):
     }
 
 
+def mono(text: str) -> LaurentMonomial:
+    return LaurentMonomial.parse(text, 4)
+
+
+def lines(*texts: str) -> RepElement:
+    return RepElement.from_monomials(mono(t) for t in texts)
+
+
+def pencil_center(centers: list[BlowupCenterDatum]) -> BlowupCenterDatum:
+    return next(c for c in centers if str(c.base_ideal) == "(x1*x2, x1*x3)")
+
+
 def test_verify_detects_mutated_center_table(h3_points, h4_points, monkeypatch):
-    # Fault injection: corrupting a center's normal basis must trip the
-    # flat-limit-oracle check (and with it the stage-1 table identity).
-    # The points come prebuilt from the real tables, so only the table
-    # checks see the mutation.
+    # Fault injection: corrupting a center's stored normal space must trip
+    # the flat-limit-oracle check and the stage-1 table claim.  The points
+    # come prebuilt from the real tables, so only the table checks see the
+    # mutation.
     centers = stage1_centers()
-    first = centers[0]
-    mutated = type(first)(
+    first = pencil_center(centers)
+    mutated = BlowupCenterDatum(
         base_ideal=first.base_ideal,
         tangent_to_center=first.tangent_to_center,
-        normal_basis=(LaurentMonomial.parse("x0^2*x2^-1*x3^-1", 4),)
-        + first.normal_basis[1:],
+        normal_basis=first.normal_basis
+        - lines("x0^2*x1^-1*x2^-1")
+        + lines("x0^2*x2^-1*x3^-1"),
         lcm_base=first.lcm_base,
         stage=first.stage,
     )
+    rest = [c for c in centers if c is not first]
     with prebuilt(h3_points, h4_points):
-        monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [mutated] + centers[1:])
+        monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [mutated] + rest)
         results = {r.name: r for r in cli.run_checks()}
     assert not results["flat-limit-oracle"].ok
     assert not results["stage1-tables"].ok
     assert results["census"].ok
+
+
+@pytest.mark.parametrize(
+    "ell, pencil", [("x2", ("x1", "x3")), ("x1", ("x1", "x2"))], ids=["wrong-l", "wrong-W"]
+)
+def test_verify_detects_center_built_from_a_wrong_pencil(
+    ell, pencil, h3_points, h4_points, monkeypatch
+):
+    # The center (x1*x2, x1*x3) is the pencil l*W with l = x1, W = <x2, x3>.
+    # Deriving its tangent Hom(l, V[1]/l) + Hom(W, V[1]/W) from another
+    # pair leaves a multiplicity of -1 or 2 in Hom(I, V[2]/I) minus that
+    # tangent.  The flat-limit oracle does not notice; stage1-tables does.
+    centers = stage1_centers()
+    real = pencil_center(centers)
+    tangent = grassmann_tangent(MonomialIdeal([mono(ell)])) + grassmann_tangent(
+        MonomialIdeal(map(mono, pencil))
+    )
+    normal = grassmann_tangent(real.base_ideal) - tangent
+    assert {k for _, k in normal.items()} & {-1, 2}
+    wrong = BlowupCenterDatum(real.base_ideal, tangent, normal, real.lcm_base, real.stage)
+    rest = [c for c in centers if c is not real]
+    with prebuilt(h3_points, h4_points):
+        monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [wrong] + rest)
+        results = {r.name: r for r in cli.run_checks()}
+    assert not results["stage1-tables"].ok
+    assert "(x1*x2, x1*x3)" in results["stage1-tables"].detail
+    assert results["flat-limit-oracle"].ok
+
+
+@pytest.mark.parametrize(
+    "old, new, failing",
+    [
+        # x0^2*x2^-2 is no ambient line: the oracle meets a direction whose
+        # closed form needs a negative exponent, and the build check fails.
+        ("x0^2*x3^-2", "x0^2*x2^-2", "build"),
+        ("x3*x2^-1", "x2*x3^-1", "stage2-tables"),
+    ],
+    ids=["line-outside-ambient", "line-inverted"],
+)
+def test_verify_detects_mutated_stage2_center_tangent(
+    old, new, failing, h3_points, h4_points, capsys, monkeypatch
+):
+    # The stage-2 cusp row with one center-tangent line replaced; its normal
+    # space is derived from the mutated tangent, as `stage2_centers` would.
+    centers = stage2_centers()
+    real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
+    tangent = real.tangent_to_center - lines(old) + lines(new)
+    ambient = stage2_composed_tangent(real.base_ideal, stage1_centers())
+    mutated = BlowupCenterDatum(
+        real.base_ideal, tangent, ambient - tangent, real.lcm_base, real.stage
+    )
+    rest = [c for c in centers if c is not real]
+    with prebuilt(h3_points, h4_points):
+        monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
+        code, out, _ = run(["verify", "--json"], capsys)
+    assert code == 1
+    assert [r["name"] for r in json.loads(out) if not r["ok"]] == [failing]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

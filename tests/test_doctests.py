@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from quartics import bott, repring
+from quartics import bott, fixedpoints, repring
 
 
-@pytest.mark.parametrize("module", [repring, bott], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [repring, fixedpoints, bott], ids=lambda m: m.__name__)
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

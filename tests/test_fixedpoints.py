@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from conftest import fixed_point_from_record
 from quartics import fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
@@ -19,7 +20,6 @@ from quartics.fixedpoints import (
     center_oracle_agreement,
     enumerate_h3,
     fiber_rep,
-    fixed_point_from_record,
     fixed_point_record,
     grassmann_fixed_points,
     lemma_injectivity_check,
@@ -117,13 +117,25 @@ def test_stage1_pencil_table():
 
 
 def test_stage1_tables_match_ambient_tangent():
-    # The hardcoded tangent/normal rows are pinned down by the identity
-    # T_center + N = Hom(I, V[2]/I) at every first-stage center.
+    # The derived center tangent and normal space split Hom(I, V[2]/I)
+    # at every first-stage center.
     v2 = invariant_sections(3, 2)
     for center in stage1_centers():
         gens = center.base_ideal.as_rep()
         ambient = (v2 - gens) * gens.dual()
-        assert center.ambient_tangent() == ambient, center.base_ideal
+        assert center.tangent_to_center + center.normal_basis == ambient, center.base_ideal
+    # The double-line center (x1^2, x1*x2), term for term.
+    center = next(
+        c for c in stage1_centers() if c.base_ideal == ideal("x1^2", "x1*x2")
+    )
+    assert center.tangent_to_center == RepElement(
+        [(mono("x3*x1^-1"), 2), (mono("x3*x2^-1"), 1), (mono("x2*x1^-1"), 1)]
+    )
+    assert set(center.normal_basis) == {
+        mono("x0^2*x1^-2"), mono("x0^2*x1^-1*x2^-1"), mono("x2^2*x1^-2"),
+        mono("x3^2*x1^-2"), mono("x3^2*x1^-1*x2^-1"), mono("x2*x3*x1^-2"),
+    }
+    assert center.lcm_base == mono("x1^2*x2")
 
 
 def test_stage2_center_census():
@@ -139,7 +151,9 @@ def test_stage2_tables_match_blowup_composition():
     # blow-up tangent decomposition over the parent first-stage center.
     stage1 = stage1_centers()
     for center in stage2_centers():
-        assert stage2_composed_tangent(center, stage1) == center.ambient_tangent()
+        assert stage2_composed_tangent(center.base_ideal, stage1) == (
+            center.tangent_to_center + center.normal_basis
+        )
 
 
 def test_stage2_cusp_table_terms():
@@ -160,7 +174,7 @@ def test_stage2_cusp_table_terms():
             (mono("x0^2*x2*x1^-1*x3^-2"), 1),
         ]
     )
-    assert center.ambient_tangent() == expected
+    assert center.tangent_to_center + center.normal_basis == expected
 
 
 def test_stage2_excluded_directions_stay_in_center_tangent():
@@ -238,7 +252,7 @@ def test_blowup_empty_normal_basis_returns_nothing():
     degenerate = BlowupCenterDatum(
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
-        normal_basis=(),
+        normal_basis=RepElement(),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
@@ -246,11 +260,14 @@ def test_blowup_empty_normal_basis_returns_nothing():
 
 
 def test_blowup_rejects_inconsistent_center_data():
-    center = stage1_centers()[0]
+    center = next(
+        c for c in stage1_centers() if c.base_ideal == ideal("x1*x2", "x1*x3")
+    )
     broken = BlowupCenterDatum(
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
-        normal_basis=(mono("x2^2*x1^-2"),),  # lcm * mu has a negative exponent
+        # lcm * mu has a negative exponent
+        normal_basis=RepElement.from_monomials([mono("x2^2*x1^-2")]),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
@@ -333,7 +350,9 @@ def test_oracle_catches_mutated_center_table():
     mutated = BlowupCenterDatum(
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
-        normal_basis=(mono("x0^2*x2^-1*x3^-1"),) + center.normal_basis[1:],
+        normal_basis=center.normal_basis
+        - RepElement.from_monomials([mono("x0^2*x1^-1*x2^-1")])
+        + RepElement.from_monomials([mono("x0^2*x2^-1*x3^-1")]),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )

@@ -43,6 +43,12 @@ def test_parse_rejects_garbage():
         LaurentMonomial.parse("x0^2*y1", 4)
     with pytest.raises(ValueError):
         LaurentMonomial.parse("x7", 4)
+    # Non-integer exponents and multiplicities raise instead of truncating.
+    for exps in [(1.5, 0, -1, 0), ("2", 0, 0, 0)]:
+        with pytest.raises(TypeError):
+            LaurentMonomial(exps)
+    with pytest.raises(TypeError):
+        RepElement([(mono("x1*x2^-1"), 1.5)])
 
 
 def test_monomial_arithmetic():
