@@ -104,17 +104,18 @@ def random_weight_search(
     """Deterministic rejection sampling for a usable weight vector.
 
     Draws five distinct integers uniformly from [lo, hi] until the vector
-    passes `validate_weights`; returns (weights, attempts).  The same seed
-    always returns the same vector.  Raises ValueError for a range of
-    fewer than `MIN_RANGE_WIDTH` integers and RuntimeError once
-    `ATTEMPT_BUDGET` draws have failed.
+    passes `validate_weights`, tested once per distinct tangent character;
+    returns (weights, attempts).  The same seed always returns the same
+    vector.  Raises ValueError for a range of fewer than `MIN_RANGE_WIDTH`
+    integers and RuntimeError once `ATTEMPT_BUDGET` draws have failed.
     """
     if hi - lo + 1 < MIN_RANGE_WIDTH:
         raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
+    characters = {m for p in points for m in p.tangent}
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
-        if validate_weights(points, w):
+        if all(weight_of(m, w) for m in characters):
             return w, attempt
     raise RuntimeError(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
 

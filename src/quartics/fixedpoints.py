@@ -30,8 +30,8 @@ x_xi of the exceptional divisor over a center point x:
 
 where the normal space N(x) is the ambient tangent minus T_center(x): six
 degree-0 semiinvariant characters of multiplicity one.  Stage-1 centers
-are derived from the pencils l*W they parameterize; the two stage-2 rows
-give their base ideal, lcm and center tangent.  `limit_ideal_oracle`
+are derived from the pencils l*W they parameterize, stage-2 centers from
+the flags l in W with a quadric q on the line {W = 0}.  `limit_ideal_oracle`
 recomputes every blown-up ideal from first principles as a flat limit.
 """
 
@@ -200,35 +200,30 @@ def stage1_centers() -> list[BlowupCenterDatum]:
     return centers
 
 
-# Second blow-up centers, as (base ideal, lcm_base, tangent to the center)
-# at the identity labeling of x1,x2,x3: the two candidate families from
-# the type (x1^2, x1*x2) whose lifted generator keeps the common factor
-# x1.  Directions x3*x2^-1 and x0^2*x3^-2 (respectively x3^2*x0^-2) stay
-# inside the common-factor locus and belong to the center's own tangent
-# space, not to the normal space.
-_STAGE2_ROWS = (
-    (("x1^2", "x1*x2", "x1*x3^2"), "x1*x2*x3^2",
-     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x0^2*x3^-2")),
-    (("x1^2", "x1*x2", "x0^2*x1"), "x0^2*x1*x2",
-     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x3^2*x0^-2")),
-)
-
-
 def stage2_centers() -> list[BlowupCenterDatum]:
-    """Fixed points of the second blow-up center (6 + 6 = 12 of them):
-    each row of `_STAGE2_ROWS` under the six relabelings of x1,x2,x3."""
+    """Fixed points of the second blow-up center (6 + 6 = 12 of them).
+
+    Each is a flag l in W = <l, w> of linear forms and an invariant quadric
+    q on the line L = {l = w = 0}: base ideal l*(l, w, q), center tangent
+    Hom(l, V[1]/l) + Hom(W/l, V[1]/W) + Hom(q, V_L[2]/q).
+
+    >>> center = next(c for c in stage2_centers() if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
+    >>> print(center.tangent_to_center)
+    x0^2*x3^-2 + x2^-1*x3 + x1^-1*x2 + x1^-1*x3
+    >>> print(center.lcm_base)
+    x1*x2*x3^2
+    """
     stage1 = stage1_centers()
+    linear = invariant_sections(3, 1).support()
     centers = []
-    for gens, lcm, tangent in _STAGE2_ROWS:
-        for images in permutations((1, 2, 3)):
-            perm = (0, *images)
-            base = MonomialIdeal.of(4, *gens).remap(perm, 4)
-            center_tangent = RepElement.from_monomials(
-                LaurentMonomial.parse(t, 4).remap(perm, 4) for t in tangent
-            )
-            lcm_base = LaurentMonomial.parse(lcm, 4).remap(perm, 4)
+    for ell, w in permutations(linear, 2):
+        on_line = [p for p in invariant_sections(3, 2) if p.gcd(ell * w).is_trivial()]
+        for q in on_line:
+            base = MonomialIdeal([ell * ell, ell * w, ell * q])
+            lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
+            tangent = grassmann_tangent(MonomialIdeal([ell])) + RepElement.from_monomials(lines)
             ambient = stage2_composed_tangent(base, stage1)
-            centers.append(_center(base, center_tangent, lcm_base, ambient, STAGE_BLOWUP2))
+            centers.append(_center(base, tangent, ell * w * q, ambient, STAGE_BLOWUP2))
     return centers
 
 
@@ -378,11 +373,13 @@ def center_oracle_agreement(
     Runs `limit_ideal_oracle` for every normal direction of the center and
     compares with base + lcm_base * mu (discarded common-factor candidates
     included).  Returns a list of (direction, oracle ideal, closed form),
-    empty when the center data is consistent.
+    empty when the center data is consistent; the closed form is None when
+    lcm_base * mu has a negative exponent.
     """
     mismatches = []
     for mu in center.normal_basis:
-        closed_form = center.base_ideal.with_generator(center.lcm_base * mu)
+        new_gen = center.lcm_base * mu
+        closed_form = center.base_ideal.with_generator(new_gen) if new_gen.is_regular() else None
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
             mismatches.append((mu, limit, closed_form))
@@ -420,11 +417,9 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     points = []
-    for i in sorted(PERM_H):
-        x_i = LaurentMonomial.parse(f"x{i}", 5)
-        dual_tangent = RepElement.from_monomials(
-            LaurentMonomial.parse(f"x{j}*x{i}^-1", 5) for j in range(1, 5) if j != i
-        )
+    linear = invariant_sections(4, 1).support()  # x1..x4
+    for i, x_i in enumerate(linear, start=1):
+        dual_tangent = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
         for point in h3:
             ideal = point.ideal.remap(PERM_H[i], 5).with_generator(x_i)
             tangent = point.tangent.remap(PERM_H[i], 5) + dual_tangent

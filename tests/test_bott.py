@@ -106,6 +106,13 @@ def test_random_weight_search_is_deterministic(h4_points):
     first = random_weight_search(42, 1, 10_000, h4_points)
     second = random_weight_search(42, 1, 10_000, h4_points)
     assert first == second
+    # Pinned draws in the narrowest usable range, where most draws fail.
+    assert [random_weight_search(seed, 1, 11, h4_points) for seed in range(4)] == [
+        ((11, 2, 5, 1, 10), 2089),
+        ((11, 10, 2, 1, 5), 559),
+        ((11, 10, 5, 1, 2), 1348),
+        ((1, 7, 11, 10, 2), 1780),
+    ]
 
 
 def test_random_weight_search_postconditions(h4_points):

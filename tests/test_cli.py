@@ -281,16 +281,16 @@ def test_verify_detects_center_built_from_a_wrong_pencil(
     "old, new, failing",
     [
         # x0^2*x2^-2 is no ambient line: the oracle meets a direction whose
-        # closed form needs a negative exponent, and the build check fails.
-        ("x0^2*x3^-2", "x0^2*x2^-2", "build"),
-        ("x3*x2^-1", "x2*x3^-1", "stage2-tables"),
+        # closed form needs a negative exponent and reports it as a mismatch.
+        ("x0^2*x3^-2", "x0^2*x2^-2", ["stage2-tables", "flat-limit-oracle"]),
+        ("x3*x2^-1", "x2*x3^-1", ["stage2-tables"]),
     ],
     ids=["line-outside-ambient", "line-inverted"],
 )
 def test_verify_detects_mutated_stage2_center_tangent(
     old, new, failing, h3_points, h4_points, capsys, monkeypatch
 ):
-    # The stage-2 cusp row with one center-tangent line replaced; its normal
+    # The stage-2 cusp center with one center-tangent line replaced; its normal
     # space is derived from the mutated tangent, as `stage2_centers` would.
     centers = stage2_centers()
     real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
@@ -304,7 +304,11 @@ def test_verify_detects_mutated_stage2_center_tangent(
         monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
         code, out, _ = run(["verify", "--json"], capsys)
     assert code == 1
-    assert [r["name"] for r in json.loads(out) if not r["ok"]] == [failing]
+    results = json.loads(out)
+    assert len(results) == 10
+    assert [r["name"] for r in results if not r["ok"]] == failing
+    [tables] = [r for r in results if r["name"] == "stage2-tables"]
+    assert "(x1^2, x1*x2, x1*x3^2)" in tables["detail"]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -138,6 +138,34 @@ def test_stage1_tables_match_ambient_tangent():
     assert center.lcm_base == mono("x1^2*x2")
 
 
+# The second-stage centers as typed rows (base ideal, lcm_base, tangent to
+# the center) at the identity labeling of x1,x2,x3: the two candidate
+# families from the type (x1^2, x1*x2) whose lifted generator keeps the
+# common factor x1.  The twelve centers are these rows under the six
+# relabelings of x1,x2,x3.
+STAGE2_ROWS = (
+    (("x1^2", "x1*x2", "x1*x3^2"), "x1*x2*x3^2",
+     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x0^2*x3^-2")),
+    (("x1^2", "x1*x2", "x0^2*x1"), "x0^2*x1*x2",
+     ("x3*x1^-1", "x2*x1^-1", "x3*x2^-1", "x3^2*x0^-2")),
+)
+
+
+def test_stage2_centers_match_typed_rows():
+    typed = set()
+    for gens, lcm, tangent in STAGE2_ROWS:
+        for images in permutations((1, 2, 3)):
+            perm = (0, *images)
+            typed.add((
+                ideal(*gens).remap(perm, 4),
+                mono(lcm).remap(perm, 4),
+                RepElement.from_monomials(mono(t).remap(perm, 4) for t in tangent),
+            ))
+    derived = [(c.base_ideal, c.lcm_base, c.tangent_to_center) for c in stage2_centers()]
+    assert len(typed) == len(derived) == 12
+    assert set(derived) == typed
+
+
 def test_stage2_center_census():
     centers = stage2_centers()
     assert len(centers) == 12
@@ -227,6 +255,14 @@ def test_blowup_discards_common_factor_candidates():
     stage2_bases = {c.base_ideal for c in stage2_centers()}
     assert ideal("x1^2", "x1*x2", "x1*x3^2") in stage2_bases
     assert ideal("x1^2", "x1*x2", "x0^2*x1") in stage2_bases
+    discarded = [
+        candidate
+        for c in stage1_centers()
+        for mu in c.normal_basis
+        if (candidate := c.base_ideal.with_generator(c.lcm_base * mu)).has_common_factor()
+    ]
+    assert len(discarded) == 12
+    assert set(discarded) == stage2_bases
 
 
 def test_blowup_points_of_cusp_center():
