@@ -45,6 +45,7 @@ from .repring import (
     LaurentMonomial,
     MonomialIdeal,
     RepElement,
+    _section_list,
     ideal_twist,
     invariant_sections,
 )
@@ -439,11 +440,14 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
 def fiber_rep(I: MonomialIdeal) -> RepElement:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
-    Spanned by the invariant degree-6 monomials not lying in the ideal;
-    multiplicity-1, because the ideal slice is drawn from the same
-    section space.
+    Spanned by the invariant degree-6 monomials not lying in the ideal,
+    each with multiplicity 1: the sections of the canonical tuple that the
+    twist does not hold.
     """
-    return invariant_sections(I.nvars - 1, DEGREE) - ideal_twist(I, DEGREE)
+    twist = ideal_twist(I, DEGREE)
+    return RepElement.from_monomials(
+        m for m in _section_list(I.nvars - 1, DEGREE) if m not in twist
+    )
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:

@@ -412,18 +412,34 @@ def invariant_sections(n: int, m: int) -> RepElement:
     )
 
 
+@lru_cache(maxsize=None)
+def _section_list(n: int, k: int) -> tuple[LaurentMonomial, ...]:
+    """The monomials of `invariant_sections(n, k)` in canonical order."""
+    return tuple(invariant_sections(n, k).support())
+
+
+@lru_cache(maxsize=None)
+def _multiples(g: LaurentMonomial, k: int) -> int:
+    """Bit i is set when g divides the i-th section of `_section_list`."""
+    sections = _section_list(g.nvars - 1, k)
+    return sum(1 << i for i, m in enumerate(sections) if g.divides(m))
+
+
 def ideal_twist(I: MonomialIdeal, k: int) -> RepElement:
     """The degree-k slice of the ideal inside the invariant ring.
 
     Returns the multiplicity-1 sum of the distinct invariant degree-k
     monomials lying in I; a monomial divisible by several generators is
-    counted once.
+    counted once.  The slice is the OR of cached per-generator masks of
+    multiples; the tests keep the scan of every section with
+    `MonomialIdeal.contains` as its oracle.
 
     >>> I = MonomialIdeal.of(4, "x0^2")
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    sections = invariant_sections(I.nvars - 1, k)
+    sections = _section_list(I.nvars - 1, k)
+    mask = reduce(operator.or_, (_multiples(g, k) for g in I.generators))
     return RepElement.from_monomials(
-        m for m in sections.support() if I.contains(m)
+        m for i, m in enumerate(sections) if mask >> i & 1
     )

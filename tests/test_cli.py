@@ -422,6 +422,24 @@ def test_exhausted_weight_search_exits_2(command, h3_points, h4_points, capsys, 
     )
 
 
+def run_fuzzed(argv: list[str], h3_points, h4_points) -> tuple[int, str]:
+    """Run `cli.main` on prebuilt points; assert a clean exit 0 or 2."""
+    out, err = io.StringIO(), io.StringIO()
+    # A small budget keeps searches in ranges of about 11 integers short;
+    # running out of it must still exit 2.
+    with prebuilt(h3_points, h4_points), mock.patch.object(bott, "ATTEMPT_BUDGET", 50), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    return code, out.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.none() | st.integers(0, 3),
@@ -440,18 +458,27 @@ def test_cli_flags_fuzz(seed, range_, weights, json_, h3_points, h4_points):
         argv += ["--weights", *map(str, weights)]
     if json_:
         argv.append("--json")
-    out, err = io.StringIO(), io.StringIO()
-    # A small budget keeps searches in ranges of about 11 integers short;
-    # running out of it must still exit 2.
-    with prebuilt(h3_points, h4_points), mock.patch.object(bott, "ATTEMPT_BUDGET", 50), \
-            redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == ""
-    elif json_:
-        json.loads(out.getvalue())
+    code, out = run_fuzzed(argv, h3_points, h4_points)
+    if code == 0 and json_:
+        json.loads(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.none() | st.integers(0, 3),
+    range_=st.none() | st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    json_=st.booleans(),
+)
+@example(seed=0, range_=(1, 11), json_=True)
+def test_verify_flags_fuzz(seed, range_, json_, h3_points, h4_points):
+    argv = ["verify"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if range_ is not None:
+        argv += ["--range", *map(str, range_)]
+    if json_:
+        argv.append("--json")
+    code, out = run_fuzzed(argv, h3_points, h4_points)
+    if code == 0 and json_:
+        results = json.loads(out)
+        assert len(results) == 10 and all(r["ok"] for r in results), results

@@ -32,6 +32,7 @@ from quartics.repring import (
     LaurentMonomial,
     MonomialIdeal,
     RepElement,
+    ideal_twist,
     invariant_sections,
 )
 
@@ -533,6 +534,16 @@ def test_fiber_rep_examples():
 
 def test_fiber_rank_thirteen_at_degree_six(h3_points):
     assert {fiber_rep(p.ideal).dimension for p in h3_points} == {13}
+
+
+def test_fiber_rep_is_sections_minus_twist(h3_points, h4_points):
+    for p in [*h3_points, *h4_points]:
+        n = p.ideal.nvars - 1
+        sections = invariant_sections(n, 6)
+        twist = ideal_twist(p.ideal, 6)
+        assert p.fiber == sections - twist, p.ideal
+        assert {k for _, k in p.fiber.items()} == {1}
+        assert len(p.fiber) + len(twist) == len(sections) == {3: 50, 4: 130}[n]
 
 
 def test_lemma_injectivity_examples():

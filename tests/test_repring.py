@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartics import repring
+from quartics.fixedpoints import PERM_H
 from quartics.repring import (
     LaurentMonomial,
     MonomialIdeal,
@@ -215,17 +217,39 @@ def test_ideal_twist_single_generator():
     assert [str(m) for m in ideal_twist(MonomialIdeal.of(4, "x0^2"), 2)] == ["x0^2"]
 
 
+HAND_IDEALS = [
+    MonomialIdeal.of(4, "x1*x2", "x1*x3"),
+    MonomialIdeal.of(4, "x0^2", "x1^2"),
+    MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x2"),
+]
+
+
 def test_ideal_twist_monotone():
-    ideals = [
-        MonomialIdeal.of(4, "x1*x2", "x1*x3"),
-        MonomialIdeal.of(4, "x0^2", "x1^2"),
-        MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x2"),
-    ]
     multipliers = invariant_sections(3, 1)
-    for ideal in ideals:
+    for ideal in HAND_IDEALS:
         for k in range(2, 7):
             grown = {m for m in (ideal_twist(ideal, k) * multipliers).support()}
             assert grown <= set(ideal_twist(ideal, k + 1).support())
+
+
+def _scan_twist(I: MonomialIdeal, k: int) -> RepElement:
+    """Oracle for `ideal_twist`: every invariant degree-k section in I."""
+    sections = invariant_sections(I.nvars - 1, k)
+    return RepElement.from_monomials(m for m in sections.support() if I.contains(m))
+
+
+def test_ideal_twist_matches_scan(h3_points, h4_points):
+    for p in [*h3_points, *h4_points]:
+        assert ideal_twist(p.ideal, 6) == _scan_twist(p.ideal, 6), p.ideal
+    # Start from empty masks and alternate rings and degrees, so that a mask
+    # cached for one of them would be served to the next if the key missed
+    # the character count or the degree.  Degrees 0 and 1 lie below some
+    # generators, whose masks must then be empty.
+    repring._multiples.cache_clear()
+    for k in range(8):
+        for ideal in HAND_IDEALS:
+            for I in [ideal, *(ideal.remap(perm, 5) for perm in PERM_H.values())]:
+                assert ideal_twist(I, k) == _scan_twist(I, k), (I, k)
 
 
 # ---------------------------------------------------------------------------
