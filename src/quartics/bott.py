@@ -57,9 +57,9 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     >>> weight_of(LaurentMonomial.parse("x2*x1^-1", 5), (267, 4, 17, 55, 160))
     13
     """
-    if m.nvars != len(w):
-        raise ValueError(f"monomial has {m.nvars} characters but {len(w)} weights are given")
-    return sum(p * wi for p, wi in zip(m.exps, w))
+    if len(m) != len(w):
+        raise ValueError(f"monomial has {len(m)} characters but {len(w)} weights are given")
+    return sum(p * wi for p, wi in zip(m, w))
 
 
 def prod_weights(r: RepElement, w: WeightVector) -> int:
@@ -90,9 +90,14 @@ def find_zero_weight(
     return None
 
 
+def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
+    """The distinct tangent characters of the points; usability depends on these alone."""
+    return {m for p in points for m in p.tangent}
+
+
 def validate_weights(points: Iterable[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
-    return find_zero_weight(points, w) is None
+    return all(weight_of(m, w) for m in _tangent_characters(points))
 
 
 def random_weight_search(
@@ -111,7 +116,7 @@ def random_weight_search(
     """
     if hi - lo + 1 < MIN_RANGE_WIDTH:
         raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
-    characters = {m for p in points for m in p.tangent}
+    characters = _tangent_characters(points)
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))

@@ -132,16 +132,6 @@ def _center(
 # ---------------------------------------------------------------------------
 
 
-def _quadric_pair_ideals() -> list[MonomialIdeal]:
-    """Unordered disjoint-support pairs of invariant quadric monomials."""
-    quadrics = invariant_sections(3, 2).support()
-    ideals = []
-    for a, b in combinations(quadrics, 2):
-        if a.gcd(b).is_trivial():
-            ideals.append(MonomialIdeal([a, b]))
-    return ideals
-
-
 def grassmann_tangent(span: MonomialIdeal) -> RepElement:
     """Tangent to the Grassmannian of V[d] at the span S of the generators,
     all of degree d: Hom(S, V[d]/S) = (V[d] - S) * dual(S)."""
@@ -151,22 +141,24 @@ def grassmann_tangent(span: MonomialIdeal) -> RepElement:
 
 
 def grassmann_fixed_points() -> list[FixedPoint]:
-    """The 12 fixed points of the Grassmannian stage.
+    """The 12 fixed points of the Grassmannian stage: the unordered pairs
+    of invariant quadric monomials with disjoint support.
 
     Pairs of invariant quadrics sharing a variable lie in the first
     blow-up center and are excluded here.
     """
     points = []
-    for ideal in _quadric_pair_ideals():
-        points.append(
-            FixedPoint(
-                stage=STAGE_GRASSMANNIAN,
-                ideal=ideal,
-                tangent=grassmann_tangent(ideal),
-                fiber=fiber_rep(ideal),
+    for a, b in combinations(invariant_sections(3, 2).support(), 2):
+        if a.gcd(b).is_trivial():
+            ideal = MonomialIdeal([a, b])
+            points.append(
+                FixedPoint(
+                    stage=STAGE_GRASSMANNIAN,
+                    ideal=ideal,
+                    tangent=grassmann_tangent(ideal),
+                    fiber=fiber_rep(ideal),
+                )
             )
-        )
-    points.sort(key=FixedPoint.sort_key)
     return points
 
 

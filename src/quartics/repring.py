@@ -2,10 +2,11 @@
 
 A diagonal torus T = (C*)^(n+1) acts on homogeneous coordinates x0..xn.
 Its characters are Laurent monomials in the coordinate characters
-lambda_0..lambda_n; we record a character as an integer exponent vector
-(`LaurentMonomial`).  A finite-dimensional T-representation splits into
-one-dimensional character spaces, so it is faithfully described by a
-finite formal integer combination of Laurent monomials (`RepElement`).
+lambda_0..lambda_n; a character is its integer exponent vector
+(`LaurentMonomial`, a tuple of exponents).  A finite-dimensional
+T-representation splits into one-dimensional character spaces, so it is
+faithfully described by a finite formal integer combination of Laurent
+monomials (`RepElement`).
 Differences of representations are meaningful intermediate values, hence
 multiplicities may be negative.
 
@@ -32,12 +33,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
 
-class LaurentMonomial:
+class LaurentMonomial(tuple):
     """A Laurent monomial in the characters lambda_0..lambda_n.
 
-    Immutable; identified by its integer exponent vector.  The vector
-    length is the number of characters of the ambient torus, and mixing
-    lengths in arithmetic is an error.
+    The monomial is its integer exponent vector, a tuple: equality,
+    hashing and immutability are the tuple's own, and the canonical
+    (descending lexicographic) order of terms is the tuple order reversed.
+    The length is the number of characters of the ambient torus, and
+    mixing lengths in arithmetic is an error.
 
     >>> m = LaurentMonomial((2, -1, 0, 0))
     >>> str(m)
@@ -46,91 +49,76 @@ class LaurentMonomial:
     LaurentMonomial('x0^2')
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[int]):
-        object.__setattr__(self, "exps", tuple(map(operator.index, exps)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LaurentMonomial is immutable")
+    def __new__(cls, exps: Iterable[int]) -> "LaurentMonomial":
+        return super().__new__(cls, map(operator.index, exps))
 
     # -- basic queries -------------------------------------------------
 
     @property
-    def nvars(self) -> int:
-        return len(self.exps)
-
-    @property
     def degree(self) -> int:
         """Total degree (sum of exponents; may be negative or zero)."""
-        return sum(self.exps)
+        return sum(self)
 
     def is_regular(self) -> bool:
         """True when all exponents are >= 0 (an ordinary monomial)."""
-        return all(e >= 0 for e in self.exps)
+        return all(e >= 0 for e in self)
 
     def is_trivial(self) -> bool:
         """True for the trivial character (all exponents zero)."""
-        return not any(self.exps)
+        return not any(self)
 
     def is_invariant(self) -> bool:
         """True when the monomial is fixed by Gamma: its x0-exponent is even."""
-        return self.exps[0] % 2 == 0
+        return self[0] % 2 == 0
 
     # -- arithmetic ----------------------------------------------------
 
     def _require_same_ring(self, other: "LaurentMonomial") -> None:
-        if self.nvars != other.nvars:
+        if len(self) != len(other):
             raise ValueError(
-                f"mismatched character count: {self.nvars} vs {other.nvars}"
+                f"mismatched character count: {len(self)} vs {len(other)}"
             )
 
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(a + b for a, b in zip(self.exps, other.exps))
+        return LaurentMonomial(a + b for a, b in zip(self, other))
 
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(a - b for a, b in zip(self.exps, other.exps))
+        return LaurentMonomial(a - b for a, b in zip(self, other))
 
     def inverse(self) -> "LaurentMonomial":
-        return LaurentMonomial(-e for e in self.exps)
+        return LaurentMonomial(-e for e in self)
 
     def divides(self, other: "LaurentMonomial") -> bool:
         """True when other/self has no negative exponent."""
         self._require_same_ring(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(a <= b for a, b in zip(self, other))
 
     def lcm(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(max(a, b) for a, b in zip(self.exps, other.exps))
+        return LaurentMonomial(max(a, b) for a, b in zip(self, other))
 
     def gcd(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(min(a, b) for a, b in zip(self.exps, other.exps))
+        return LaurentMonomial(min(a, b) for a, b in zip(self, other))
 
     def remap(self, perm: Sequence[int], nvars: int) -> "LaurentMonomial":
         """Carry the monomial into a ring of `nvars` characters, where
         character i becomes character perm[i]."""
         exps = [0] * nvars
-        for i, e in zip(perm, self.exps, strict=True):
+        for i, e in zip(perm, self, strict=True):
             exps[i] += e
         return LaurentMonomial(exps)
-
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentMonomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
 
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
         factors = [
             f"x{i}" if e == 1 else f"x{i}^{e}"
-            for i, e in enumerate(self.exps)
+            for i, e in enumerate(self)
             if e
         ]
         return "*".join(factors) if factors else "1"
@@ -188,7 +176,7 @@ class RepElement:
         acc: dict[LaurentMonomial, int] = {}
         for monomial, mult in items:
             acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
-        counts = {monomial.nvars for monomial in acc}
+        counts = {len(monomial) for monomial in acc}
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")
         object.__setattr__(self, "_terms", {m: k for m, k in acc.items() if k})
@@ -214,11 +202,11 @@ class RepElement:
     def items(self) -> list[tuple[LaurentMonomial, int]]:
         """Terms in canonical order: descending lexicographic on exponents."""
         # Fixed once, for deterministic serialization and test comparison.
-        return sorted(self._terms.items(), key=lambda t: t[0].exps, reverse=True)
+        return sorted(self._terms.items(), reverse=True)
 
     def support(self) -> list[LaurentMonomial]:
         """Monomials with nonzero multiplicity, in canonical order."""
-        return sorted(self._terms, key=lambda m: m.exps, reverse=True)
+        return sorted(self._terms, reverse=True)
 
     def __iter__(self) -> Iterator[LaurentMonomial]:
         return iter(self.support())
@@ -299,10 +287,10 @@ class MonomialIdeal:
         nvars: int | None = None
         for g in gens:
             if nvars is None:
-                nvars = g.nvars
-            elif g.nvars != nvars:
+                nvars = len(g)
+            elif len(g) != nvars:
                 raise ValueError(
-                    f"mismatched character count: {g.nvars} vs {nvars}"
+                    f"mismatched character count: {len(g)} vs {nvars}"
                 )
             if not g.is_regular():
                 raise ValueError(f"ideal generator has a negative exponent: {g}")
@@ -313,7 +301,7 @@ class MonomialIdeal:
             for g in gens
             if not any(h is not g and h.divides(g) for h in gens)
         ]
-        reduced.sort(key=lambda m: m.exps, reverse=True)
+        reduced.sort(reverse=True)
         object.__setattr__(self, "generators", tuple(reduced))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -330,7 +318,7 @@ class MonomialIdeal:
     def nvars(self) -> int:
         if not self.generators:
             raise ValueError("empty ideal has no ring context")
-        return self.generators[0].nvars
+        return len(self.generators[0])
 
     def contains(self, monomial: LaurentMonomial) -> bool:
         return any(g.divides(monomial) for g in self.generators)
@@ -356,7 +344,7 @@ class MonomialIdeal:
         the same descending-lexicographic convention as monomial terms
         ((x0^2, x1^2) before (x2^2, x3^2)).
         """
-        return tuple(tuple(-e for e in g.exps) for g in self.generators)
+        return tuple(tuple(-e for e in g) for g in self.generators)
 
     # -- identity and rendering ---------------------------------------------
 
@@ -421,7 +409,7 @@ def _section_list(n: int, k: int) -> tuple[LaurentMonomial, ...]:
 @lru_cache(maxsize=None)
 def _multiples(g: LaurentMonomial, k: int) -> int:
     """Bit i is set when g divides the i-th section of `_section_list`."""
-    sections = _section_list(g.nvars - 1, k)
+    sections = _section_list(len(g) - 1, k)
     return sum(1 << i for i, m in enumerate(sections) if g.divides(m))
 
 

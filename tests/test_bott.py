@@ -96,6 +96,16 @@ def test_degenerate_weights_are_rejected(h4_points):
     assert not validate_weights(h4_points, (1, 1, 1, 1, 1))
 
 
+def test_validate_weights_agrees_with_the_witness_search(h4_points):
+    rng = random.Random(0)
+    vectors = [DEFAULT_WEIGHTS, (0, 0, 0, 0, 0), (1, 1, 1, 1, 1)]
+    vectors += [tuple(rng.randint(1, 11) for _ in range(5)) for _ in range(50)]
+    verdicts = [validate_weights(h4_points, w) for w in vectors]
+    assert verdicts == [find_zero_weight(h4_points, w) is None for w in vectors]
+    assert verdicts[:3] == [True, False, False]
+    assert verdicts.count(False) > len(vectors) // 2
+
+
 def test_find_zero_weight_names_the_witness(h4_points):
     point, monomial = find_zero_weight(h4_points, (1, 1, 1, 1, 1))
     assert monomial in point.tangent
@@ -139,7 +149,7 @@ def test_random_weight_search_exhaustion(h4_points, monkeypatch):
 
 
 def test_min_range_width_is_the_narrowest_usable_range(h4_points):
-    characters = {m.exps for p in h4_points for m, _ in p.tangent.items()}
+    characters = {tuple(m) for p in h4_points for m, _ in p.tangent.items()}
     # Degree 0 makes usability invariant under shifting the range, so
     # ranges starting at 1 stand for all ranges of their width.
     assert all(sum(c) == 0 for c in characters)

@@ -104,7 +104,7 @@ def test_count_rejects_equal_weights(capsys):
     # The named witness really is a zero-weight character for these weights.
     monomial_text = err.split("tangent monomial ")[1].split(" at fixed point")[0]
     monomial = LaurentMonomial.parse(monomial_text, 5)
-    assert sum(monomial.exps) == 0
+    assert sum(monomial) == 0
 
 
 def test_count_seeded_runs_are_identical(capsys):

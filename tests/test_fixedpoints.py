@@ -484,7 +484,7 @@ def test_h4_hyperplane_generator_and_fiber(h4_points):
         assert x_i in p.ideal.generators
         # Monomials divisible by x_i lie in the ideal, so the fiber of a
         # point spanning {x_i = 0} has no term involving that character.
-        assert all(m.exps[p.hyperplane] == 0 for m in p.fiber)
+        assert all(m[p.hyperplane] == 0 for m in p.fiber)
 
 
 def test_h4_tangent_contains_hyperplane_directions(h4_points):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 import pytest
@@ -65,6 +66,15 @@ def test_monomial_arithmetic():
     assert mono("x0^2*x1^-1").inverse() == mono("x0^-2*x1")
 
 
+def test_monomial_is_its_exponent_tuple():
+    m = mono("x0^2*x1^-1")
+    assert m == (2, -1, 0, 0) == tuple(m)
+    assert hash(m) == hash(tuple(m))
+    for name in ("exps", "degree", "x"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+
+
 def test_monomial_queries():
     assert mono("1").is_trivial()
     assert mono("x0^2*x1").is_regular()
@@ -75,8 +85,12 @@ def test_monomial_queries():
 
 
 def test_mixed_ring_sizes_error():
-    with pytest.raises(ValueError):
-        mono("x1", 4) * mono("x1", 5)
+    for op in (operator.mul, operator.truediv, LaurentMonomial.divides,
+               LaurentMonomial.lcm, LaurentMonomial.gcd):
+        with pytest.raises(ValueError):
+            op(mono("x1", 4), mono("x1", 5))
+        with pytest.raises(ValueError):
+            op(mono("x1", 5), mono("x1", 4))
     with pytest.raises(ValueError):
         rep("x1", nvars=4) + rep("x1", nvars=5)
     with pytest.raises(ValueError):
@@ -167,7 +181,7 @@ def test_invariant_sections_against_brute_force():
             for exps in product(range(m + 1), repeat=n + 1)
             if sum(exps) == m and exps[0] % 2 == 0
         }
-        computed = {mm.exps for mm in invariant_sections(n, m)}
+        computed = {tuple(mm) for mm in invariant_sections(n, m)}
         assert computed == expected, (n, m)
 
 
@@ -321,3 +335,12 @@ def test_ring_operations_match_a_dict_model(a, b):
 @given(reps, reps)
 def test_add_preserves_dimension(a, b):
     assert (a + b).dimension == a.dimension + b.dimension
+
+
+@settings(max_examples=60, deadline=None)
+@given(reps)
+def test_support_is_the_reversed_tuple_order(a):
+    # The canonical order is descending lexicographic on plain exponent tuples.
+    terms = dict(a.items())
+    assert a.support() == sorted(terms, key=tuple, reverse=True)
+    assert [m for m, _ in a.items()] == a.support()
