@@ -14,11 +14,17 @@ of the degree-6 bundle equals the sum over fixed points of
 
 evaluated here in exact big-integer rational arithmetic.  No floating
 point appears anywhere: products of 13 weights of size up to 10^4
-overflow 64-bit integers.
+overflow 64-bit integers.  Each point lists its characters once
+(`FixedPoint.fiber_characters`, `FixedPoint.tangent_characters`); a sum
+specializes each distinct character once, and adds the 504 terms over
+one common denominator, the lcm L of the tangent products:
+sum n_p / d_p = (sum n_p * (L / d_p)) / L, with a single gcd at the end.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,45 +65,64 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     """
     if len(m) != len(w):
         raise ValueError(f"monomial has {len(m)} characters but {len(w)} weights are given")
-    return sum(p * wi for p, wi in zip(m, w))
+    return sum(map(operator.mul, m, w))
+
+
+class _Specialization(dict):
+    """Character -> `weight_of` at one weight vector, computed on first lookup."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, w: WeightVector):
+        super().__init__()
+        self.weights = w
+
+    def __missing__(self, m: LaurentMonomial) -> int:
+        value = self[m] = weight_of(m, self.weights)
+        return value
+
+    def product(self, characters: Iterable[LaurentMonomial]) -> int:
+        """Product of the weights of `characters`, repeats included."""
+        return math.prod(map(self.__getitem__, characters))
 
 
 def prod_weights(r: RepElement, w: WeightVector) -> int:
     """Product over terms of weight_of(monomial)^multiplicity.
 
-    Returns 0 as soon as any factor vanishes.  Negative multiplicities
-    signal a malformed representation reaching specialization and raise.
+    Returns 0 when any factor vanishes.  Negative multiplicities signal a
+    malformed representation reaching specialization and raise.
     """
-    result = 1
-    for monomial, mult in r.items():
-        if mult < 0:
-            raise ValueError(f"negative multiplicity at {monomial}: {mult}")
-        factor = weight_of(monomial, w)
-        if factor == 0:
-            return 0
-        result *= factor**mult
-    return result
+    return _Specialization(w).product(r.characters())
 
 
 def find_zero_weight(
-    points: Iterable[FixedPoint], w: WeightVector
+    points: Sequence[FixedPoint], w: WeightVector
 ) -> tuple[FixedPoint, LaurentMonomial] | None:
-    """First (fixed point, tangent monomial) specializing to weight 0."""
+    """First (fixed point, tangent monomial) specializing to weight 0.
+
+    None when every distinct tangent character has nonzero weight;
+    otherwise the points are walked in order for the first witness.
+    """
+    if _usable(_tangent_characters(points), w):
+        return None
     for point in points:
-        for monomial, _ in point.tangent.items():
+        for monomial in point.tangent_characters:
             if weight_of(monomial, w) == 0:
                 return point, monomial
-    return None
 
 
 def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
     """The distinct tangent characters of the points; usability depends on these alone."""
-    return {m for p in points for m in p.tangent}
+    return set().union(*(p.tangent_characters for p in points))
+
+
+def _usable(characters: Iterable[LaurentMonomial], w: WeightVector) -> bool:
+    return all(weight_of(m, w) for m in characters)
 
 
 def validate_weights(points: Iterable[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
-    return all(weight_of(m, w) for m in _tangent_characters(points))
+    return _usable(_tangent_characters(points), w)
 
 
 def random_weight_search(
@@ -120,7 +145,7 @@ def random_weight_search(
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
-        if all(weight_of(m, w) for m in characters):
+        if _usable(characters, w):
             return w, attempt
     raise RuntimeError(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
 
@@ -130,20 +155,28 @@ def bott_sum(
 ) -> LocalizationResult:
     """Bott's localization sum in exact rational arithmetic.
 
-    Sums prod_weights(fiber)/prod_weights(tangent) over the fixed points.
-    `w` must pass `validate_weights` first; a zero tangent product raises.
+    Sums prod_weights(fiber)/prod_weights(tangent) over the fixed points,
+    with the lcm of the tangent products as the common denominator.  `w`
+    must pass `validate_weights` first; a zero tangent product raises.
     Exact arithmetic makes the result independent of summation order.
     """
-    total = Fraction(0)
-    terms: list[tuple[str, Fraction]] = []
+    weights = _Specialization(w)
+    numerators: list[int] = []
+    denominators: list[int] = []
+    labels: list[str] = []
     for point in points:
-        denominator = prod_weights(point.tangent, w)
+        denominator = weights.product(point.tangent_characters)
         if denominator == 0:
             raise ZeroDivisionError(
                 f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
             )
-        term = Fraction(prod_weights(point.fiber, w), denominator)
-        total += term
+        numerators.append(weights.product(point.fiber_characters))
+        denominators.append(denominator)
         if keep_terms:
-            terms.append((point.label, term))
-    return LocalizationResult(total, tuple(terms) if keep_terms else None)
+            labels.append(point.label)
+    common = math.lcm(*denominators)
+    value = Fraction(sum(n * (common // d) for n, d in zip(numerators, denominators)), common)
+    if not keep_terms:
+        return LocalizationResult(value)
+    terms = zip(labels, map(Fraction, numerators, denominators))
+    return LocalizationResult(value, tuple(terms))

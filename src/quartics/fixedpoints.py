@@ -38,6 +38,7 @@ recomputes every blown-up ideal from first principles as a flat limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
@@ -78,7 +79,8 @@ class FixedPoint:
 
     `hyperplane` is None for points of the P(2,1,1,1) component and the
     index i of the invariant hyperplane {x_i = 0} after assembly into
-    P(2,1,1,1,1).
+    P(2,1,1,1,1).  The `*_characters` properties are cached on first use;
+    they are not fields, so equality, hashing, repr and the dump ignore them.
     """
 
     stage: str
@@ -86,6 +88,16 @@ class FixedPoint:
     tangent: RepElement
     fiber: RepElement
     hyperplane: int | None = None
+
+    @cached_property
+    def fiber_characters(self) -> tuple[LaurentMonomial, ...]:
+        """`fiber.characters()`, computed once per point for the Bott sum."""
+        return self.fiber.characters()
+
+    @cached_property
+    def tangent_characters(self) -> tuple[LaurentMonomial, ...]:
+        """`tangent.characters()`, computed once per point for the Bott sum."""
+        return self.tangent.characters()
 
     @property
     def label(self) -> str:
@@ -405,7 +417,8 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     {x_i = 0}, i in 1..4, along `PERM_H`; the ideal gains the generator
     x_i, the tangent space gains the hyperplane's three directions
     x_j / x_i (j in 1..4, j != i), and the fiber is recomputed in the
-    five-character ring.
+    five-character ring.  The remapped generators and x_i make up one
+    ideal, reduced once.
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
@@ -414,7 +427,9 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     for i, x_i in enumerate(linear, start=1):
         dual_tangent = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
         for point in h3:
-            ideal = point.ideal.remap(PERM_H[i], 5).with_generator(x_i)
+            ideal = MonomialIdeal(
+                [*(g.remap(PERM_H[i], 5) for g in point.ideal.generators), x_i]
+            )
             tangent = point.tangent.remap(PERM_H[i], 5) + dual_tangent
             points.append(
                 FixedPoint(

@@ -208,6 +208,18 @@ class RepElement:
         """Monomials with nonzero multiplicity, in canonical order."""
         return sorted(self._terms, reverse=True)
 
+    def characters(self) -> tuple[LaurentMonomial, ...]:
+        """Each monomial repeated by its multiplicity, in canonical order.
+
+        Only an actual representation has such a list: a negative
+        multiplicity raises ValueError.
+        """
+        items = self.items()
+        for monomial, mult in items:
+            if mult < 0:
+                raise ValueError(f"negative multiplicity at {monomial}: {mult}")
+        return tuple(m for m, k in items for _ in range(k))
+
     def __iter__(self) -> Iterator[LaurentMonomial]:
         return iter(self.support())
 

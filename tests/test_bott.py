@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +22,7 @@ from quartics.bott import (
     validate_weights,
     weight_of,
 )
-from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN
+from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN, fixed_point_record
 from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
 
 
@@ -106,6 +109,30 @@ def test_validate_weights_agrees_with_the_witness_search(h4_points):
     assert verdicts.count(False) > len(vectors) // 2
 
 
+def _walk_for_zero_weight(points, w):
+    """The witness search without the fast path: every tangent entry in order."""
+    for point in points:
+        for monomial, _ in point.tangent.items():
+            if weight_of(monomial, w) == 0:
+                return point, monomial
+    return None
+
+
+def test_find_zero_weight_matches_the_walk(h4_points):
+    rng = random.Random(3)
+    vectors = [DEFAULT_WEIGHTS, (0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (3, 1, 4, 1, 5)]
+    vectors += [tuple(rng.randint(1, 11) for _ in range(5)) for _ in range(50)]
+    witnesses = [find_zero_weight(h4_points, w) for w in vectors]
+    assert witnesses == [_walk_for_zero_weight(h4_points, w) for w in vectors]
+    assert witnesses[0] is None
+    assert all(witness is not None for witness in witnesses[1:4])
+    # The CLI's error message names these two witnesses.
+    assert [(p.label, str(m)) for p, m in witnesses[2:4]] == [
+        ("h1:grassmannian:(x0^2, x1, x2^2)", "x2^-1*x3"),
+        ("h1:grassmannian:(x0^2, x1, x2^2)", "x1^-1*x3"),
+    ]
+
+
 def test_find_zero_weight_names_the_witness(h4_points):
     point, monomial = find_zero_weight(h4_points, (1, 1, 1, 1, 1))
     assert monomial in point.tangent
@@ -185,9 +212,35 @@ def test_bott_sum_fiber_equals_tangent():
 
 
 def test_bott_sum_zero_denominator_raises():
-    rep = RepElement([(mono("x2*x1^-1"), 1)])
-    with pytest.raises(ZeroDivisionError):
-        bott_sum([_synthetic_point(rep)], (1, 1, 1, 1, 1))
+    point = _synthetic_point(RepElement([(mono("x2*x1^-1"), 1)]))
+    with pytest.raises(ZeroDivisionError, match=re.escape(point.label)):
+        bott_sum([point], (1, 1, 1, 1, 1))
+
+
+def test_bott_sum_rejects_negative_multiplicity():
+    rep = RepElement([(mono("x2*x1^-1"), 2), (mono("x0^2*x3^-1*x4^-1"), -1)])
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        bott_sum([_synthetic_point(rep)], DEFAULT_WEIGHTS)
+
+
+def _oracle_bott_sum(points, w):
+    """The sum as one `Fraction` per point over `prod_weights`, added one by one."""
+    total = Fraction(0)
+    terms = []
+    for point in points:
+        term = Fraction(prod_weights(point.fiber, w), prod_weights(point.tangent, w))
+        total += term
+        terms.append((point.label, term))
+    return total, tuple(terms)
+
+
+def test_bott_sum_matches_the_per_point_oracle(h4_points):
+    vectors = [DEFAULT_WEIGHTS]
+    vectors += [random_weight_search(seed, 1, 10_000, h4_points)[0] for seed in range(20)]
+    for w in vectors:
+        result = bott_sum(h4_points, w, keep_terms=True)
+        assert (result.value, result.per_point_terms) == _oracle_bott_sum(h4_points, w)
+        assert bott_sum(h4_points, w) == dataclasses.replace(result, per_point_terms=None)
 
 
 def test_bott_sum_headline_value(h4_points):
@@ -212,3 +265,28 @@ def test_bott_sum_weight_independent(h4_points):
     for seed in (11, 12, 13):
         weights, _ = random_weight_search(seed, 1, 10_000, h4_points)
         assert bott_sum(h4_points, weights).value == Fraction(6028452)
+
+
+# ---------------------------------------------------------------------------
+#  The characters each point caches for the sum
+# ---------------------------------------------------------------------------
+
+
+def test_cached_characters_repeat_each_term_by_its_multiplicity(h4_points):
+    for point in h4_points:
+        assert Counter(point.fiber_characters) == dict(point.fiber.items())
+        assert Counter(point.tangent_characters) == dict(point.tangent.items())
+        assert list(point.tangent_characters) == sorted(point.tangent_characters, reverse=True)
+
+
+def test_cached_characters_are_not_part_of_the_point(h4_points):
+    names = [f.name for f in dataclasses.fields(FixedPoint)]
+    assert names == ["stage", "ideal", "tangent", "fiber", "hyperplane"]
+    for point in h4_points[::50]:
+        fresh = FixedPoint(point.stage, point.ideal, point.tangent, point.fiber, point.hyperplane)
+        compiled = (point.fiber_characters, point.tangent_characters)
+        assert "tangent_characters" not in vars(fresh)
+        assert (fresh, hash(fresh), repr(fresh)) == (point, hash(point), repr(point))
+        assert fixed_point_record(fresh) == fixed_point_record(point)
+        assert (fresh.fiber_characters, fresh.tangent_characters) == compiled
+    assert [f.name for f in dataclasses.fields(FixedPoint)] == names

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -82,6 +83,15 @@ def test_count_show_terms_json(capsys):
     payload = json.loads(out)
     assert len(payload["terms"]) == 504
     assert payload["value"] == 6028452
+
+
+def test_count_show_terms_json_bytes_are_pinned(h3_points, h4_points, capsys):
+    with prebuilt(h3_points, h4_points):
+        code, out, _ = run(["count", "--json", "--show-terms"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4fbfdbd3053c265d97af665db3a5cbf3816507f138537285f41ecd2da8e98b06"
+    )
 
 
 def test_count_with_explicit_valid_weights(capsys):
