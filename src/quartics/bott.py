@@ -68,47 +68,24 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     return sum(map(operator.mul, m, w))
 
 
-class _Specialization(dict):
-    """Character -> `weight_of` at one weight vector, computed on first lookup."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, w: WeightVector):
-        super().__init__()
-        self.weights = w
-
-    def __missing__(self, m: LaurentMonomial) -> int:
-        value = self[m] = weight_of(m, self.weights)
-        return value
-
-    def product(self, characters: Iterable[LaurentMonomial]) -> int:
-        """Product of the weights of `characters`, repeats included."""
-        return math.prod(map(self.__getitem__, characters))
-
-
 def prod_weights(r: RepElement, w: WeightVector) -> int:
     """Product over terms of weight_of(monomial)^multiplicity.
 
     Returns 0 when any factor vanishes.  Negative multiplicities signal a
     malformed representation reaching specialization and raise.
     """
-    return _Specialization(w).product(r.characters())
+    return math.prod(weight_of(m, w) for m in r.characters())
 
 
 def find_zero_weight(
-    points: Sequence[FixedPoint], w: WeightVector
+    points: Iterable[FixedPoint], w: WeightVector
 ) -> tuple[FixedPoint, LaurentMonomial] | None:
-    """First (fixed point, tangent monomial) specializing to weight 0.
-
-    None when every distinct tangent character has nonzero weight;
-    otherwise the points are walked in order for the first witness.
-    """
-    if _usable(_tangent_characters(points), w):
-        return None
+    """First (fixed point, tangent monomial) specializing to weight 0."""
     for point in points:
         for monomial in point.tangent_characters:
             if weight_of(monomial, w) == 0:
                 return point, monomial
+    return None
 
 
 def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
@@ -116,13 +93,9 @@ def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
     return set().union(*(p.tangent_characters for p in points))
 
 
-def _usable(characters: Iterable[LaurentMonomial], w: WeightVector) -> bool:
-    return all(weight_of(m, w) for m in characters)
-
-
 def validate_weights(points: Iterable[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
-    return _usable(_tangent_characters(points), w)
+    return all(weight_of(m, w) for m in _tangent_characters(points))
 
 
 def random_weight_search(
@@ -145,7 +118,7 @@ def random_weight_search(
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
-        if _usable(characters, w):
+        if all(weight_of(m, w) for m in characters):
             return w, attempt
     raise RuntimeError(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
 
@@ -160,17 +133,24 @@ def bott_sum(
     must pass `validate_weights` first; a zero tangent product raises.
     Exact arithmetic makes the result independent of summation order.
     """
-    weights = _Specialization(w)
+    specialized: dict[LaurentMonomial, int] = {}
+
+    def weight(m: LaurentMonomial) -> int:
+        value = specialized.get(m)
+        if value is None:
+            value = specialized[m] = weight_of(m, w)
+        return value
+
     numerators: list[int] = []
     denominators: list[int] = []
     labels: list[str] = []
     for point in points:
-        denominator = weights.product(point.tangent_characters)
+        denominator = math.prod(map(weight, point.tangent_characters))
         if denominator == 0:
             raise ZeroDivisionError(
                 f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
             )
-        numerators.append(weights.product(point.fiber_characters))
+        numerators.append(math.prod(map(weight, point.fiber_characters)))
         denominators.append(denominator)
         if keep_terms:
             labels.append(point.label)

@@ -346,9 +346,6 @@ class MonomialIdeal:
         """The generators as a multiplicity-1 representation element."""
         return RepElement.from_monomials(self.generators)
 
-    def remap(self, perm: Sequence[int], nvars: int) -> "MonomialIdeal":
-        return MonomialIdeal(g.remap(perm, nvars) for g in self.generators)
-
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical comparison key fixing a deterministic point order.
 

@@ -110,7 +110,7 @@ def test_validate_weights_agrees_with_the_witness_search(h4_points):
 
 
 def _walk_for_zero_weight(points, w):
-    """The witness search without the fast path: every tangent entry in order."""
+    """The witness search over `tangent.items()` rather than the cached characters."""
     for point in points:
         for monomial, _ in point.tangent.items():
             if weight_of(monomial, w) == 0:

@@ -46,7 +46,7 @@ def ideal(*texts: str, nvars: int = 4) -> MonomialIdeal:
 
 
 def permute_ideal(I: MonomialIdeal, images: tuple[int, int, int]) -> MonomialIdeal:
-    return I.remap((0, *images), 4)
+    return MonomialIdeal(g.remap((0, *images), 4) for g in I.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_stage2_centers_match_typed_rows():
         for images in permutations((1, 2, 3)):
             perm = (0, *images)
             typed.add((
-                ideal(*gens).remap(perm, 4),
+                MonomialIdeal(mono(g).remap(perm, 4) for g in gens),
                 mono(lcm).remap(perm, 4),
                 RepElement.from_monomials(mono(t).remap(perm, 4) for t in tangent),
             ))

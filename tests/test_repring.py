@@ -262,7 +262,7 @@ def test_ideal_twist_matches_scan(h3_points, h4_points):
     repring._multiples.cache_clear()
     for k in range(8):
         for ideal in HAND_IDEALS:
-            for I in [ideal, *(ideal.remap(perm, 5) for perm in PERM_H.values())]:
+            for I in [ideal, *(MonomialIdeal(g.remap(perm, 5) for g in ideal.generators) for perm in PERM_H.values())]:
                 assert ideal_twist(I, k) == _scan_twist(I, k), (I, k)
 
 
