@@ -16,34 +16,15 @@ fixedpoints
     flat-limit ideals, assembly over the dual projective space.
 bott
     Weight specialization and the exact localization sum.
+checks
+    The invariant suite behind ``quartics verify``.
 cli
     The ``quartics`` command-line driver.
 """
 
-from .bott import LocalizationResult, bott_sum, random_weight_search, validate_weights
-from .fixedpoints import (
-    FixedPoint,
-    assemble_h4,
-    enumerate_h3,
-    lemma_injectivity_check,
-    limit_ideal_oracle,
-)
-from .repring import LaurentMonomial, MonomialIdeal, RepElement, invariant_sections
+from .bott import LocalizationResult, bott_sum
+from .fixedpoints import FixedPoint, assemble_h4, enumerate_h3
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FixedPoint",
-    "LaurentMonomial",
-    "LocalizationResult",
-    "MonomialIdeal",
-    "RepElement",
-    "assemble_h4",
-    "bott_sum",
-    "enumerate_h3",
-    "invariant_sections",
-    "lemma_injectivity_check",
-    "limit_ideal_oracle",
-    "random_weight_search",
-    "validate_weights",
-]
+__all__ = ["FixedPoint", "LocalizationResult", "assemble_h4", "bott_sum", "enumerate_h3"]

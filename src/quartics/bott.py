@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fixedpoints import FixedPoint
-from .repring import LaurentMonomial, RepElement
+from .repring import LaurentMonomial
 
 #: The default one-parameter subgroup; the headline count 6028452 is
 #: reproduced bit-exactly with these weights.
@@ -40,6 +40,9 @@ DEFAULT_WEIGHTS: tuple[int, int, int, int, int] = (267, 4, 17, 55, 160)
 #: Rejection-sampling attempt budget for the random weight search.
 ATTEMPT_BUDGET = 100_000
 
+#: Inclusive sampling range of the random weight search when none is given.
+DEFAULT_RANGE = (1, 10_000)
+
 #: Fewest integers a sampling range must hold.  Every tangent character
 #: has degree 0, so shifting a range leaves its usable vectors unchanged;
 #: no five distinct integers from [1, 10] are usable, and some from
@@ -47,6 +50,14 @@ ATTEMPT_BUDGET = 100_000
 MIN_RANGE_WIDTH = 11
 
 WeightVector = Sequence[int]
+
+
+class WeightSearchExhausted(RuntimeError):
+    """`ATTEMPT_BUDGET` draws from [lo, hi] in a row gave no usable vector."""
+
+    def __init__(self, lo: int, hi: int):
+        super().__init__(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
+        self.lo, self.hi = lo, hi
 
 
 @dataclass(frozen=True)
@@ -60,21 +71,12 @@ class LocalizationResult:
 def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     """Specialize a character to an integer: the dot product sum(p_i w_i).
 
-    >>> weight_of(LaurentMonomial.parse("x2*x1^-1", 5), (267, 4, 17, 55, 160))
+    >>> weight_of(LaurentMonomial((0, -1, 1, 0, 0)), (267, 4, 17, 55, 160))
     13
     """
     if len(m) != len(w):
         raise ValueError(f"monomial has {len(m)} characters but {len(w)} weights are given")
     return sum(map(operator.mul, m, w))
-
-
-def prod_weights(r: RepElement, w: WeightVector) -> int:
-    """Product over terms of weight_of(monomial)^multiplicity.
-
-    Returns 0 when any factor vanishes.  Negative multiplicities signal a
-    malformed representation reaching specialization and raise.
-    """
-    return math.prod(weight_of(m, w) for m in r.characters())
 
 
 def find_zero_weight(
@@ -110,7 +112,8 @@ def random_weight_search(
     passes `validate_weights`, tested once per distinct tangent character;
     returns (weights, attempts).  The same seed always returns the same
     vector.  Raises ValueError for a range of fewer than `MIN_RANGE_WIDTH`
-    integers and RuntimeError once `ATTEMPT_BUDGET` draws have failed.
+    integers and `WeightSearchExhausted` once `ATTEMPT_BUDGET` draws have
+    failed.
     """
     if hi - lo + 1 < MIN_RANGE_WIDTH:
         raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
@@ -120,7 +123,7 @@ def random_weight_search(
         w = tuple(rng.sample(range(lo, hi + 1), 5))
         if all(weight_of(m, w) for m in characters):
             return w, attempt
-    raise RuntimeError(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
+    raise WeightSearchExhausted(lo, hi)
 
 
 def bott_sum(
@@ -128,10 +131,11 @@ def bott_sum(
 ) -> LocalizationResult:
     """Bott's localization sum in exact rational arithmetic.
 
-    Sums prod_weights(fiber)/prod_weights(tangent) over the fixed points,
-    with the lcm of the tangent products as the common denominator.  `w`
-    must pass `validate_weights` first; a zero tangent product raises.
-    Exact arithmetic makes the result independent of summation order.
+    Sums (product of fiber weights) / (product of tangent weights) over the
+    fixed points, each weight repeated by its multiplicity, with the lcm of
+    the tangent products as the common denominator.  `w` must pass
+    `validate_weights` first; a zero tangent product raises.  Exact
+    arithmetic makes the result independent of summation order.
     """
     specialized: dict[LaurentMonomial, int] = {}
 

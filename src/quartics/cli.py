@@ -6,8 +6,8 @@ Subcommands:
   the count 6028452 bit-exactly);
 * ``fixed-points`` — dump the fixed-point data (126 records with
   ``--h3-only``, 504 otherwise) as text or JSON;
-* ``verify`` — run the full invariant suite and report pass/fail per
-  check.
+* ``verify`` — run the invariant suite of `quartics.checks` and report
+  pass/fail per check.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 141 (128 + SIGPIPE) when the reader closes stdout early.
@@ -21,23 +21,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import bott, fixedpoints
+from .checks import CheckResult, run_checks
 from .fixedpoints import FixedPoint, census
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INVALID_CONFIG = 2
 EXIT_BROKEN_PIPE = 141
-
-#: Number of random weight vectors exercised by the verify suite.
-VERIFY_SEED_COUNT = 10
-
-#: Inclusive sampling range of the random weight search when `--range`
-#: is not given.
-DEFAULT_RANGE = (1, 10_000)
 
 
 def _fraction_json(value):
@@ -63,19 +56,9 @@ def _resolve_weights(args, points: Sequence[FixedPoint]) -> tuple[tuple[int, ...
             )
         return weights, None
     if args.seed is not None:
-        lo, hi = args.range or DEFAULT_RANGE
-        return _search_weights(args.seed, lo, hi, points)
+        lo, hi = args.range or bott.DEFAULT_RANGE
+        return bott.random_weight_search(args.seed, lo, hi, points)
     return bott.DEFAULT_WEIGHTS, None
-
-
-def _search_weights(
-    seed: int, lo: int, hi: int, points: Sequence[FixedPoint]
-) -> tuple[tuple[int, ...], int]:
-    """`bott.random_weight_search`, with an exhausted budget as a ConfigError."""
-    try:
-        return bott.random_weight_search(seed, lo, hi, points)
-    except RuntimeError as exc:
-        raise ConfigError(f"--range {lo} {hi}: {exc}") from None
 
 
 class ConfigError(Exception):
@@ -133,154 +116,13 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-#  The verification suite.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-def run_checks(
-    base_seed: int = 0, lo: int = DEFAULT_RANGE[0], hi: int = DEFAULT_RANGE[1]
-) -> list[CheckResult]:
-    """Run every invariant check."""
-    stage1 = fixedpoints.stage1_centers()
-    stage2 = fixedpoints.stage2_centers()
-    results: list[CheckResult] = []
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        results.append(CheckResult(name, ok, detail))
-
-    h3 = fixedpoints.enumerate_h3()
-    h4 = fixedpoints.assemble_h4(h3)
-
-    counts = census(h3)
-    ok = (
-        len(h3) == 126
-        and counts == {"grassmannian": 12, "blowup1": 42, "blowup2": 72}
-        and len(h4) == 504
-        and all(
-            sum(1 for p in h4 if p.hyperplane == i) == 126 for i in range(1, 5)
-        )
-    )
-    check(
-        "census",
-        ok,
-        f"{counts['grassmannian']}/{counts['blowup1']}/{counts['blowup2']} = "
-        f"{len(h3)} points, {len(h4)} after hyperplane assembly",
-    )
-
-    dims3 = {p.tangent.dimension for p in h3}
-    dims4 = {p.tangent.dimension for p in h4}
-    check(
-        "tangent-dimensions",
-        dims3 == {10} and dims4 == {13},
-        f"tangent sums {sorted(dims3)} on 126 points, {sorted(dims4)} on 504",
-    )
-
-    ranks = {p.fiber.dimension for p in h4}
-    check(
-        "fiber-ranks",
-        ranks == {13},
-        f"degree-6 fiber sums {sorted(ranks)} on all 504 points",
-    )
-
-    clean = all(
-        not any(m.is_trivial() for m in p.tangent)
-        and all(k >= 1 for _, k in p.tangent.items())
-        and all(k >= 1 for _, k in p.fiber.items())
-        for p in h3 + h4
-    )
-    check(
-        "tangent-characters",
-        clean,
-        "no trivial character, all multiplicities >= 1",
-    )
-
-    # At every center, the ambient tangent minus the center tangent is the
-    # stored normal space: 6 distinct degree-0 characters of multiplicity 1.
-    for name, centers, ambient, source in (
-        ("stage1-tables", stage1, fixedpoints.grassmann_tangent, "Hom(I, V[2]/I)"),
-        ("stage2-tables", stage2,
-         lambda base: fixedpoints.stage2_composed_tangent(base, stage1),
-         "the blow-up composition"),
-    ):
-        bad = []
-        for c in centers:
-            normal = ambient(c.base_ideal) - c.tangent_to_center
-            lines = normal.items()
-            if normal != c.normal_basis or len(lines) != 6 or any(
-                k != 1 or m.degree for m, k in lines
-            ):
-                bad.append(c.base_ideal)
-        check(
-            name,
-            not bad,
-            f"{source} minus the center tangent is the stored normal space, "
-            f"6 distinct degree-0 characters, at {len(centers)} centers"
-            if not bad
-            else f"mismatch at {bad}",
-        )
-
-    mismatches = []
-    directions = 0
-    for center in stage1 + stage2:
-        mismatches.extend(fixedpoints.center_oracle_agreement(center))
-        directions += len(center.normal_basis)
-    check(
-        "flat-limit-oracle",
-        not mismatches,
-        f"flat limits match closed-form ideals in {directions} directions"
-        if not mismatches
-        else f"{len(mismatches)} mismatches, first: {mismatches[0]}",
-    )
-
-    failing = [p.ideal for p in h3 if not fixedpoints.lemma_injectivity_check(p.ideal)]
-    check(
-        "injectivity-lemma",
-        not failing,
-        "cubic-multiplier condition holds for all 126 ideals"
-        if not failing
-        else f"fails at {failing[:3]}",
-    )
-
-    degenerate = all(
-        not bott.validate_weights(h4, w)
-        for w in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1))
-    )
-    check(
-        "degenerate-weights",
-        degenerate,
-        "(0,0,0,0,0) and (1,1,1,1,1) are rejected",
-    )
-
-    reference = bott.bott_sum(h4, bott.DEFAULT_WEIGHTS).value
-    values = set()
-    for seed in range(base_seed, base_seed + VERIFY_SEED_COUNT):
-        w, _ = _search_weights(seed, lo, hi, h4)
-        values.add(bott.bott_sum(h4, w).value)
-    ok = values == {reference} and reference.denominator == 1
-    check(
-        "weight-independence",
-        ok,
-        f"{VERIFY_SEED_COUNT} random weight vectors in [{lo}, {hi}] all give {reference}"
-        if ok
-        else f"values {sorted(values)} vs default {reference}",
-    )
-
-    return results
-
-
 def cmd_verify(args) -> int:
     """Run the invariant suite; any failing check exits nonzero."""
-    lo, hi = args.range or DEFAULT_RANGE
+    lo, hi = args.range or bott.DEFAULT_RANGE
     try:
         results = run_checks(args.seed if args.seed is not None else 0, lo, hi)
+    except bott.WeightSearchExhausted:
+        raise  # a configuration error, reported by `main`
     except (ValueError, RuntimeError) as exc:
         # A build that breaks one of its own invariants fails the suite.
         results = [CheckResult("build", False, f"{type(exc).__name__}: {exc}")]
@@ -321,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, help="seed for the random weight search")
     search.add_argument(
         "--range", nargs=2, type=int, metavar=("LO", "HI"),
-        help="inclusive sampling range for random weights (default %d %d)" % DEFAULT_RANGE,
+        help="inclusive sampling range for random weights (default %d %d)" % bott.DEFAULT_RANGE,
     )
     json_ = argparse.ArgumentParser(add_help=False)
     json_.add_argument("--json", action="store_true", help="emit JSON on stdout")
@@ -375,6 +217,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
+    except bott.WeightSearchExhausted as exc:
+        print(f"error: --range {exc.lo} {exc.hi}: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except BrokenPipeError:
         # The reader is gone; send what is still buffered to devnull so

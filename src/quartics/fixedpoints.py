@@ -131,14 +131,6 @@ class BlowupCenterDatum:
     stage: str
 
 
-def _center(
-    base: MonomialIdeal, tangent: RepElement, lcm: LaurentMonomial,
-    ambient: RepElement, stage: str,
-) -> BlowupCenterDatum:
-    """The center whose normal space is `ambient` minus `tangent`."""
-    return BlowupCenterDatum(base, tangent, ambient - tangent, lcm, stage)
-
-
 # ---------------------------------------------------------------------------
 #  Stage 0: the Grassmannian of invariant quadric pencils.
 # ---------------------------------------------------------------------------
@@ -147,7 +139,7 @@ def _center(
 def grassmann_tangent(span: MonomialIdeal) -> RepElement:
     """Tangent to the Grassmannian of V[d] at the span S of the generators,
     all of degree d: Hom(S, V[d]/S) = (V[d] - S) * dual(S)."""
-    gens = span.as_rep()
+    gens = RepElement.from_monomials(span.generators)
     d = span.generators[0].degree
     return (invariant_sections(span.nvars - 1, d) - gens) * gens.dual()
 
@@ -201,7 +193,8 @@ def stage1_centers() -> list[BlowupCenterDatum]:
         line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
         tangent = grassmann_tangent(line) + grassmann_tangent(span)
         lcm = base.generators[0].lcm(base.generators[1])
-        centers.append(_center(base, tangent, lcm, grassmann_tangent(base), STAGE_BLOWUP1))
+        normal = grassmann_tangent(base) - tangent
+        centers.append(BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1))
     return centers
 
 
@@ -227,8 +220,8 @@ def stage2_centers() -> list[BlowupCenterDatum]:
             base = MonomialIdeal([ell * ell, ell * w, ell * q])
             lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
             tangent = grassmann_tangent(MonomialIdeal([ell])) + RepElement.from_monomials(lines)
-            ambient = stage2_composed_tangent(base, stage1)
-            centers.append(_center(base, tangent, ell * w * q, ambient, STAGE_BLOWUP2))
+            normal = stage2_composed_tangent(base, stage1) - tangent
+            centers.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
     return centers
 
 
@@ -271,7 +264,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
                 f"inconsistent center data: {center.lcm_base} * {mu} has a "
                 f"negative exponent"
             )
-        ideal = center.base_ideal.with_generator(new_gen)
+        ideal = MonomialIdeal(center.base_ideal.generators + (new_gen,))
         if ideal.has_common_factor():
             continue
         points.append(
@@ -384,7 +377,9 @@ def center_oracle_agreement(
     mismatches = []
     for mu in center.normal_basis:
         new_gen = center.lcm_base * mu
-        closed_form = center.base_ideal.with_generator(new_gen) if new_gen.is_regular() else None
+        closed_form = None
+        if new_gen.is_regular():
+            closed_form = MonomialIdeal(center.base_ideal.generators + (new_gen,))
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
             mismatches.append((mu, limit, closed_form))

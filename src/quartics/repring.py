@@ -25,12 +25,9 @@ degree-k slice of such an ideal inside the invariant ring is returned by
 from __future__ import annotations
 
 import operator
-import re
 from functools import lru_cache, reduce
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
-
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
 
 class LaurentMonomial(tuple):
@@ -89,9 +86,6 @@ class LaurentMonomial(tuple):
         self._require_same_ring(other)
         return LaurentMonomial(a - b for a, b in zip(self, other))
 
-    def inverse(self) -> "LaurentMonomial":
-        return LaurentMonomial(-e for e in self)
-
     def divides(self, other: "LaurentMonomial") -> bool:
         """True when other/self has no negative exponent."""
         self._require_same_ring(other)
@@ -125,29 +119,6 @@ class LaurentMonomial(tuple):
 
     def __repr__(self) -> str:
         return f"LaurentMonomial('{self}')"
-
-    @classmethod
-    def parse(cls, text: str, nvars: int) -> "LaurentMonomial":
-        """Inverse of `str`: parse 'x0^2*x1^-1' into a monomial.
-
-        >>> LaurentMonomial.parse("x0^2*x1^-1", 4)
-        LaurentMonomial('x0^2*x1^-1')
-        >>> LaurentMonomial.parse("1", 4).is_trivial()
-        True
-        """
-        text = text.strip()
-        exps = [0] * nvars
-        if text == "1":
-            return cls(exps)
-        for factor in text.split("*"):
-            match = _FACTOR_RE.match(factor.strip())
-            if match is None:
-                raise ValueError(f"malformed monomial factor: {factor!r}")
-            index = int(match.group(1))
-            if index >= nvars:
-                raise ValueError(f"character index {index} out of range: {text!r}")
-            exps[index] += int(match.group(2)) if match.group(2) else 1
-        return cls(exps)
 
 
 class RepElement:
@@ -245,7 +216,7 @@ class RepElement:
 
     def dual(self) -> "RepElement":
         """Invert every character; multiplicities are preserved."""
-        return RepElement({m.inverse(): k for m, k in self._terms.items()})
+        return RepElement((LaurentMonomial(-e for e in m), k) for m, k in self._terms.items())
 
     def remap(self, perm: Sequence[int], nvars: int) -> "RepElement":
         """Carry every term into another ring along `LaurentMonomial.remap`."""
@@ -285,10 +256,10 @@ class MonomialIdeal:
     divides a different one.  Ideals of Gamma-fixed curves have all
     generators Gamma-invariant; this is checked.
 
-    >>> I = MonomialIdeal.of(4, "x1*x2", "x1*x3")
+    >>> I = MonomialIdeal([LaurentMonomial((0, 1, 1, 0)), LaurentMonomial((0, 1, 0, 1))])
     >>> str(I)
     '(x1*x2, x1*x3)'
-    >>> I.contains(LaurentMonomial.parse("x1^2*x2", 4))
+    >>> I.contains(LaurentMonomial((0, 2, 1, 0)))
     True
     """
 
@@ -319,11 +290,6 @@ class MonomialIdeal:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MonomialIdeal is immutable")
 
-    @classmethod
-    def of(cls, nvars: int, *texts: str) -> "MonomialIdeal":
-        """Convenience constructor from monomial strings."""
-        return cls(LaurentMonomial.parse(t, nvars) for t in texts)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -338,13 +304,6 @@ class MonomialIdeal:
     def has_common_factor(self) -> bool:
         """True when all generators share a nontrivial monomial factor."""
         return not reduce(LaurentMonomial.gcd, self.generators).is_trivial()
-
-    def with_generator(self, monomial: LaurentMonomial) -> "MonomialIdeal":
-        return MonomialIdeal(self.generators + (monomial,))
-
-    def as_rep(self) -> RepElement:
-        """The generators as a multiplicity-1 representation element."""
-        return RepElement.from_monomials(self.generators)
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical comparison key fixing a deterministic point order.
@@ -431,7 +390,7 @@ def ideal_twist(I: MonomialIdeal, k: int) -> RepElement:
     multiples; the tests keep the scan of every section with
     `MonomialIdeal.contains` as its oracle.
 
-    >>> I = MonomialIdeal.of(4, "x0^2")
+    >>> I = MonomialIdeal([LaurentMonomial((2, 0, 0, 0))])
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 import pytest
@@ -18,20 +19,34 @@ def h4_points(h3_points):
     return assemble_h4(h3_points)
 
 
+_FACTOR = re.compile(r"x(\d+)(?:\^(-?\d+))?")
+
+
+def parse_monomial(text: str, nvars: int) -> LaurentMonomial:
+    """Inverse of `str(LaurentMonomial)`: 'x0^2*x1^-1' gives (2, -1, 0, ...).
+
+    Factors may come in any order; anything else raises ValueError.
+    """
+    exps = [0] * nvars
+    if text != "1":
+        for factor in text.split("*"):
+            match = _FACTOR.fullmatch(factor)
+            if match is None or int(match[1]) >= nvars:
+                raise ValueError(f"malformed monomial: {text!r}")
+            exps[int(match[1])] += int(match[2] or 1)
+    return LaurentMonomial(exps)
+
+
 def fixed_point_from_record(record: Mapping) -> FixedPoint:
     """Inverse of `fixedpoints.fixed_point_record`, for the dump round trips."""
     nvars = 4 if record["hyperplane"] is None else 5
     return FixedPoint(
         stage=record["stage"],
-        ideal=MonomialIdeal(
-            LaurentMonomial.parse(t, nvars) for t in record["ideal"]
-        ),
+        ideal=MonomialIdeal(parse_monomial(t, nvars) for t in record["ideal"]),
         tangent=RepElement(
-            (LaurentMonomial.parse(t["monomial"], nvars), t["multiplicity"])
+            (parse_monomial(t["monomial"], nvars), t["multiplicity"])
             for t in record["tangent"]
         ),
-        fiber=RepElement.from_monomials(
-            LaurentMonomial.parse(t, nvars) for t in record["fiber"]
-        ),
+        fiber=RepElement.from_monomials(parse_monomial(t, nvars) for t in record["fiber"]),
         hyperplane=record["hyperplane"],
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quartics import cli
+from quartics import checks, cli
 from quartics.bott import (
     DEFAULT_WEIGHTS,
     bott_sum,
@@ -27,7 +27,7 @@ from quartics.fixedpoints import (
     stage2_centers,
     stage2_composed_tangent,
 )
-from quartics.repring import invariant_sections
+from quartics.repring import RepElement, invariant_sections
 
 
 def _report(number: int, text: str) -> None:
@@ -92,7 +92,7 @@ def test_criterion_6_center_table_consistency():
     v2 = invariant_sections(3, 2)
     stage1 = stage1_centers()
     for center in stage1 + stage2_centers():
-        gens = center.base_ideal.as_rep()
+        gens = RepElement.from_monomials(center.base_ideal.generators)
         if center.stage == STAGE_BLOWUP1:
             ambient = (v2 - gens) * gens.dual()
         else:
@@ -121,3 +121,23 @@ def test_criterion_8_sanity_negatives(capsys, h4_points):
     assert runs[0] == runs[1]
     with capsys.disabled():
         _report(8, "degenerate weights rejected; dumps byte-identical")
+
+
+def test_criterion_9_verify_suite():
+    """`checks.run_checks` reports exactly the ten named checks, in order,
+    all passing."""
+    results = checks.run_checks()
+    assert [r.name for r in results] == [
+        "census",
+        "tangent-dimensions",
+        "fiber-ranks",
+        "tangent-characters",
+        "stage1-tables",
+        "stage2-tables",
+        "flat-limit-oracle",
+        "injectivity-lemma",
+        "degenerate-weights",
+        "weight-independence",
+    ]
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    _report(9, "the verify suite passes its ten named checks")

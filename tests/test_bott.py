@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import re
 from collections import Counter
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_monomial
 from quartics import bott
 from quartics.bott import (
     DEFAULT_WEIGHTS,
     MIN_RANGE_WIDTH,
     bott_sum,
     find_zero_weight,
-    prod_weights,
     random_weight_search,
     validate_weights,
     weight_of,
@@ -27,7 +28,7 @@ from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
 
 
 def mono(text: str, nvars: int = 5) -> LaurentMonomial:
-    return LaurentMonomial.parse(text, nvars)
+    return parse_monomial(text, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -45,44 +46,6 @@ def test_weight_of_requires_one_weight_per_character():
     for nvars in (4, 6):
         with pytest.raises(ValueError):
             weight_of(mono("x2*x1^-1", nvars), DEFAULT_WEIGHTS)
-
-
-def test_prod_weights_examples():
-    squared = RepElement([(mono("x2*x1^-1"), 2)])
-    assert prod_weights(squared, DEFAULT_WEIGHTS) == 169
-    assert prod_weights(RepElement(), DEFAULT_WEIGHTS) == 1
-    with_trivial = RepElement([(mono("1"), 1), (mono("x2"), 1)])
-    assert prod_weights(with_trivial, DEFAULT_WEIGHTS) == 0
-
-
-def test_prod_weights_rejects_negative_multiplicity():
-    difference = RepElement([(mono("x2"), -1)])
-    with pytest.raises(ValueError):
-        prod_weights(difference, DEFAULT_WEIGHTS)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.lists(st.integers(min_value=-2, max_value=2), min_size=5, max_size=5),
-            st.integers(min_value=0, max_value=3),
-        ),
-        max_size=4,
-    ),
-    st.lists(
-        st.tuples(
-            st.lists(st.integers(min_value=-2, max_value=2), min_size=5, max_size=5),
-            st.integers(min_value=0, max_value=3),
-        ),
-        max_size=4,
-    ),
-)
-def test_prod_weights_multiplicative(terms1, terms2):
-    r1 = RepElement((LaurentMonomial(e), k) for e, k in terms1)
-    r2 = RepElement((LaurentMonomial(e), k) for e, k in terms2)
-    w = (7, 3, -2, 5, 11)
-    assert prod_weights(r1 + r2, w) == prod_weights(r1, w) * prod_weights(r2, w)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +134,9 @@ def test_random_weight_search_exhaustion(h4_points, monkeypatch):
     # In [1, 11] only 48 of 55440 ordered vectors are usable; seed 0 draws
     # none of them in its first ten attempts.
     monkeypatch.setattr(bott, "ATTEMPT_BUDGET", 10)
-    with pytest.raises(RuntimeError, match="within 10 attempts"):
+    with pytest.raises(bott.WeightSearchExhausted, match="within 10 attempts") as excinfo:
         random_weight_search(0, 1, MIN_RANGE_WIDTH, h4_points)
+    assert (excinfo.value.lo, excinfo.value.hi) == (1, MIN_RANGE_WIDTH)
 
 
 def test_min_range_width_is_the_narrowest_usable_range(h4_points):
@@ -196,12 +160,12 @@ def test_min_range_width_is_the_narrowest_usable_range(h4_points):
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_point(rep: RepElement) -> FixedPoint:
+def _synthetic_point(tangent: RepElement, fiber: RepElement | None = None) -> FixedPoint:
     return FixedPoint(
         stage=STAGE_GRASSMANNIAN,
-        ideal=MonomialIdeal.of(5, "x0^2", "x1^2"),
-        tangent=rep,
-        fiber=rep,
+        ideal=MonomialIdeal([mono("x0^2"), mono("x1^2")]),
+        tangent=tangent,
+        fiber=tangent if fiber is None else fiber,
     )
 
 
@@ -223,12 +187,59 @@ def test_bott_sum_rejects_negative_multiplicity():
         bott_sum([_synthetic_point(rep)], DEFAULT_WEIGHTS)
 
 
+def _numerator(fiber: RepElement, w) -> Fraction:
+    """The Bott sum of one point with an empty tangent: its fiber weight product."""
+    return bott_sum([_synthetic_point(RepElement(), fiber)], w).value
+
+
+def test_prod_weights_examples():
+    squared = RepElement([(mono("x2*x1^-1"), 2)])
+    assert _numerator(squared, DEFAULT_WEIGHTS) == 169
+    assert _numerator(RepElement(), DEFAULT_WEIGHTS) == 1
+    with_trivial = RepElement([(mono("1"), 1), (mono("x2"), 1)])
+    assert _numerator(with_trivial, DEFAULT_WEIGHTS) == 0
+
+
+def test_prod_weights_rejects_negative_multiplicity():
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        _numerator(RepElement([(mono("x2"), -1)]), DEFAULT_WEIGHTS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=5, max_size=5),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=4,
+    ),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=5, max_size=5),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=4,
+    ),
+)
+def test_bott_sum_numerator_is_multiplicative(terms1, terms2):
+    r1 = RepElement((LaurentMonomial(e), k) for e, k in terms1)
+    r2 = RepElement((LaurentMonomial(e), k) for e, k in terms2)
+    w = (7, 3, -2, 5, 11)
+    assert _numerator(r1 + r2, w) == _numerator(r1, w) * _numerator(r2, w)
+
+
 def _oracle_bott_sum(points, w):
-    """The sum as one `Fraction` per point over `prod_weights`, added one by one."""
+    """The sum as one `Fraction` per point, weights raised to their multiplicities,
+    added one by one."""
+
+    def product(r: RepElement) -> int:
+        return math.prod(weight_of(m, w) ** k for m, k in r.items())
+
     total = Fraction(0)
     terms = []
     for point in points:
-        term = Fraction(prod_weights(point.fiber, w), prod_weights(point.tangent, w))
+        term = Fraction(product(point.fiber), product(point.tangent))
         total += term
         terms.append((point.label, term))
     return total, tuple(terms)

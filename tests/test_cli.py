@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_point_from_record
-from quartics import bott, cli, fixedpoints
+from conftest import fixed_point_from_record, parse_monomial
+from quartics import bott, checks, cli, fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum
 from quartics.fixedpoints import (
     BlowupCenterDatum,
@@ -113,7 +114,7 @@ def test_count_rejects_equal_weights(capsys):
     assert code == 2
     # The named witness really is a zero-weight character for these weights.
     monomial_text = err.split("tangent monomial ")[1].split(" at fixed point")[0]
-    monomial = LaurentMonomial.parse(monomial_text, 5)
+    monomial = parse_monomial(monomial_text, 5)
     assert sum(monomial) == 0
 
 
@@ -224,7 +225,7 @@ def test_verify_json(capsys):
 
 
 def mono(text: str) -> LaurentMonomial:
-    return LaurentMonomial.parse(text, 4)
+    return parse_monomial(text, 4)
 
 
 def lines(*texts: str) -> RepElement:
@@ -319,6 +320,45 @@ def test_verify_detects_mutated_stage2_center_tangent(
     assert [r["name"] for r in results if not r["ok"]] == failing
     [tables] = [r for r in results if r["name"] == "stage2-tables"]
     assert "(x1^2, x1*x2, x1*x3^2)" in tables["detail"]
+
+
+@pytest.mark.parametrize("kind", ["tangent", "fiber"])
+def test_verify_names_the_first_bad_character(kind, h3_points, h4_points):
+    # One h3 point gains a trivial tangent character in place of one of its
+    # own, or a fiber character of multiplicity -1.  Dimensions, ranks and
+    # the h4 points are untouched, so only tangent-characters fails, and its
+    # detail names the point and the character.
+    point = h3_points[5]
+    if kind == "tangent":
+        tangent = point.tangent - lines(str(point.tangent.support()[0])) + lines("1")
+        bad = dataclasses.replace(point, tangent=tangent)
+        expected = f"tangent character 1 with multiplicity 1 at {point.label}"
+    else:
+        bad = dataclasses.replace(point, fiber=point.fiber - lines("x0^2"))
+        expected = f"fiber character x0^2 with multiplicity -1 at {point.label}"
+    mutated = [bad if p is point else p for p in h3_points]
+    with prebuilt(mutated, h4_points):
+        results = checks.run_checks()
+    assert [(r.name, r.detail) for r in results if not r.ok] == [("tangent-characters", expected)]
+
+
+def test_verify_names_accepted_degenerate_weights(h3_points, h4_points, monkeypatch):
+    monkeypatch.setattr(bott, "validate_weights", lambda points, w: True)
+    with prebuilt(h3_points, h4_points):
+        results = checks.run_checks()
+    assert [(r.name, r.detail) for r in results if not r.ok] == [
+        ("degenerate-weights", "(0, 0, 0, 0, 0) and (1, 1, 1, 1, 1) accepted")
+    ]
+
+
+def test_importing_checks_leaves_cli_unloaded():
+    # `python -m quartics.cli` runs cli as __main__; a checks -> cli import
+    # would load a second cli module with its own ConfigError.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quartics.checks; print('quartics.cli' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

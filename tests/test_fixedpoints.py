@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import fixed_point_from_record
+from conftest import fixed_point_from_record, parse_monomial
 from quartics import fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
@@ -38,11 +38,11 @@ from quartics.repring import (
 
 
 def mono(text: str, nvars: int = 4) -> LaurentMonomial:
-    return LaurentMonomial.parse(text, nvars)
+    return parse_monomial(text, nvars)
 
 
-def ideal(*texts: str, nvars: int = 4) -> MonomialIdeal:
-    return MonomialIdeal.of(nvars, *texts)
+def ideal(*texts: str) -> MonomialIdeal:
+    return MonomialIdeal(map(mono, texts))
 
 
 def permute_ideal(I: MonomialIdeal, images: tuple[int, int, int]) -> MonomialIdeal:
@@ -122,7 +122,7 @@ def test_stage1_tables_match_ambient_tangent():
     # at every first-stage center.
     v2 = invariant_sections(3, 2)
     for center in stage1_centers():
-        gens = center.base_ideal.as_rep()
+        gens = RepElement.from_monomials(center.base_ideal.generators)
         ambient = (v2 - gens) * gens.dual()
         assert center.tangent_to_center + center.normal_basis == ambient, center.base_ideal
     # The double-line center (x1^2, x1*x2), term for term.
@@ -256,12 +256,12 @@ def test_blowup_discards_common_factor_candidates():
     stage2_bases = {c.base_ideal for c in stage2_centers()}
     assert ideal("x1^2", "x1*x2", "x1*x3^2") in stage2_bases
     assert ideal("x1^2", "x1*x2", "x0^2*x1") in stage2_bases
-    discarded = [
-        candidate
+    candidates = [
+        MonomialIdeal((*c.base_ideal.generators, c.lcm_base * mu))
         for c in stage1_centers()
         for mu in c.normal_basis
-        if (candidate := c.base_ideal.with_generator(c.lcm_base * mu)).has_common_factor()
     ]
+    discarded = [I for I in candidates if I.has_common_factor()]
     assert len(discarded) == 12
     assert set(discarded) == stage2_bases
 

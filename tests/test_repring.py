@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_monomial
 from quartics import repring
 from quartics.fixedpoints import PERM_H
 from quartics.repring import (
@@ -19,11 +20,15 @@ from quartics.repring import (
 
 
 def mono(text: str, nvars: int = 4) -> LaurentMonomial:
-    return LaurentMonomial.parse(text, nvars)
+    return parse_monomial(text, nvars)
 
 
 def rep(*texts: str, nvars: int = 4) -> RepElement:
     return RepElement.from_monomials(mono(t, nvars) for t in texts)
+
+
+def ideal(*texts: str) -> MonomialIdeal:
+    return MonomialIdeal(map(mono, texts))
 
 
 # ---------------------------------------------------------------------------
@@ -36,16 +41,16 @@ def test_render_and_parse_round_trip():
     for text in ["1", "x0^2*x1^-1", "x1*x2*x3", "x2^3", "x0^2*x1^-1*x2*x3^-2"]:
         m = mono(text)
         assert str(m) == text
-        assert LaurentMonomial.parse(str(m), 4) == m
+        assert parse_monomial(str(m), 4) == m
     # Parsing accepts factors in any order.
     assert mono("x2*x1^-1") == mono("x1^-1*x2")
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        LaurentMonomial.parse("x0^2*y1", 4)
+        parse_monomial("x0^2*y1", 4)
     with pytest.raises(ValueError):
-        LaurentMonomial.parse("x7", 4)
+        parse_monomial("x7", 4)
     # Non-integer exponents and multiplicities raise instead of truncating.
     for exps in [(1.5, 0, -1, 0), ("2", 0, 0, 0)]:
         with pytest.raises(TypeError):
@@ -63,7 +68,7 @@ def test_monomial_arithmetic():
     assert a.gcd(b) == mono("x1")
     assert mono("x1").divides(a)
     assert not a.divides(b)
-    assert mono("x0^2*x1^-1").inverse() == mono("x0^-2*x1")
+    assert rep("x0^2*x1^-1").dual() == rep("x0^-2*x1")
 
 
 def test_monomial_is_its_exponent_tuple():
@@ -196,31 +201,30 @@ def test_invariant_sections_all_multiplicity_one():
 
 
 def test_ideal_reduction_and_ordering():
-    ideal = MonomialIdeal.of(4, "x1*x2", "x1^2*x2", "x1*x3")
-    assert [str(g) for g in ideal.generators] == ["x1*x2", "x1*x3"]
+    I = ideal("x1*x2", "x1^2*x2", "x1*x3")
+    assert [str(g) for g in I.generators] == ["x1*x2", "x1*x3"]
 
 
 def test_ideal_rejects_negative_and_noninvariant():
     with pytest.raises(ValueError):
         MonomialIdeal([mono("x2*x1^-1")])
     with pytest.raises(ValueError):
-        MonomialIdeal.of(4, "x0*x1")
+        ideal("x0*x1")
 
 
 def test_ideal_membership_and_common_factor():
-    ideal = MonomialIdeal.of(4, "x1*x2", "x1*x3")
-    assert ideal.contains(mono("x1^2*x2"))
-    assert not ideal.contains(mono("x1^2"))
-    assert ideal.has_common_factor()
-    assert MonomialIdeal.of(4, "x0^2*x1", "x0^2*x2").has_common_factor()
-    assert not MonomialIdeal.of(4, "x0^2", "x1^2").has_common_factor()
+    I = ideal("x1*x2", "x1*x3")
+    assert I.contains(mono("x1^2*x2"))
+    assert not I.contains(mono("x1^2"))
+    assert I.has_common_factor()
+    assert ideal("x0^2*x1", "x0^2*x2").has_common_factor()
+    assert not ideal("x0^2", "x1^2").has_common_factor()
     # Pairwise common factors are not enough: the gcd runs over all generators.
-    assert not MonomialIdeal.of(4, "x1*x2", "x1*x3", "x2*x3").has_common_factor()
+    assert not ideal("x1*x2", "x1*x3", "x2*x3").has_common_factor()
 
 
 def test_ideal_twist_deduplicates():
-    ideal = MonomialIdeal.of(4, "x1*x2", "x1*x3")
-    twist = ideal_twist(ideal, 3)
+    twist = ideal_twist(ideal("x1*x2", "x1*x3"), 3)
     assert {str(m) for m in twist} == {
         "x1^2*x2", "x1*x2^2", "x1*x2*x3", "x1^2*x3", "x1*x3^2",
     }
@@ -228,13 +232,13 @@ def test_ideal_twist_deduplicates():
 
 
 def test_ideal_twist_single_generator():
-    assert [str(m) for m in ideal_twist(MonomialIdeal.of(4, "x0^2"), 2)] == ["x0^2"]
+    assert [str(m) for m in ideal_twist(ideal("x0^2"), 2)] == ["x0^2"]
 
 
 HAND_IDEALS = [
-    MonomialIdeal.of(4, "x1*x2", "x1*x3"),
-    MonomialIdeal.of(4, "x0^2", "x1^2"),
-    MonomialIdeal.of(4, "x1^2", "x1*x2", "x0^2*x2"),
+    ideal("x1*x2", "x1*x3"),
+    ideal("x0^2", "x1^2"),
+    ideal("x1^2", "x1*x2", "x0^2*x2"),
 ]
 
 
