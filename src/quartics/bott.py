@@ -79,25 +79,26 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     return sum(map(operator.mul, m, w))
 
 
-def find_zero_weight(
-    points: Iterable[FixedPoint], w: WeightVector
-) -> tuple[FixedPoint, LaurentMonomial] | None:
-    """First (fixed point, tangent monomial) specializing to weight 0."""
-    for point in points:
-        for monomial in point.tangent_characters:
-            if weight_of(monomial, w) == 0:
-                return point, monomial
-    return None
-
-
 def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
     """The distinct tangent characters of the points; usability depends on these alone."""
     return set().union(*(p.tangent_characters for p in points))
 
 
-def validate_weights(points: Iterable[FixedPoint], w: WeightVector) -> bool:
+def find_zero_weight(
+    points: Sequence[FixedPoint], w: WeightVector
+) -> tuple[FixedPoint, LaurentMonomial] | None:
+    """First (fixed point, tangent monomial) specializing to weight 0.  The
+    points are walked only to name the witness once a distinct character fails."""
+    if all(weight_of(m, w) for m in _tangent_characters(points)):
+        return None
+    return next(
+        (p, m) for p in points for m in p.tangent_characters if not weight_of(m, w)
+    )
+
+
+def validate_weights(points: Sequence[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
-    return all(weight_of(m, w) for m in _tangent_characters(points))
+    return find_zero_weight(points, w) is None
 
 
 def random_weight_search(

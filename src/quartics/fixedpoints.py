@@ -46,7 +46,6 @@ from .repring import (
     LaurentMonomial,
     MonomialIdeal,
     RepElement,
-    _section_list,
     ideal_twist,
     invariant_sections,
 )
@@ -140,8 +139,8 @@ def grassmann_tangent(span: MonomialIdeal) -> RepElement:
     """Tangent to the Grassmannian of V[d] at the span S of the generators,
     all of degree d: Hom(S, V[d]/S) = (V[d] - S) * dual(S)."""
     gens = RepElement.from_monomials(span.generators)
-    d = span.generators[0].degree
-    return (invariant_sections(span.nvars - 1, d) - gens) * gens.dual()
+    sections = invariant_sections(span.nvars - 1, span.generators[0].degree)
+    return (RepElement.from_monomials(sections) - gens) * gens.dual()
 
 
 def grassmann_fixed_points() -> list[FixedPoint]:
@@ -152,7 +151,7 @@ def grassmann_fixed_points() -> list[FixedPoint]:
     blow-up center and are excluded here.
     """
     points = []
-    for a, b in combinations(invariant_sections(3, 2).support(), 2):
+    for a, b in combinations(invariant_sections(3, 2), 2):
         if a.gcd(b).is_trivial():
             ideal = MonomialIdeal([a, b])
             points.append(
@@ -186,16 +185,18 @@ def stage1_centers() -> list[BlowupCenterDatum]:
     >>> print(center.normal_basis)
     x0^2*x1^-1*x3^-1 + x0^2*x1^-1*x2^-1 + x1^-1*x2^2*x3^-1 + x1^-1*x2 + x1^-1*x3 + x1^-1*x2^-1*x3^2
     """
-    linear = invariant_sections(3, 1).support()
-    centers = []
-    for ell, pencil in product(linear, combinations(linear, 2)):
-        base = MonomialIdeal(ell * w for w in pencil)
-        line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
-        tangent = grassmann_tangent(line) + grassmann_tangent(span)
-        lcm = base.generators[0].lcm(base.generators[1])
-        normal = grassmann_tangent(base) - tangent
-        centers.append(BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1))
-    return centers
+    linear = invariant_sections(3, 1)
+    return [_stage1_center(ell, pair) for ell, pair in product(linear, combinations(linear, 2))]
+
+
+def _stage1_center(ell: LaurentMonomial, pencil: Sequence[LaurentMonomial]) -> BlowupCenterDatum:
+    """The stage-1 center of the pencil ell*W, W spanned by `pencil`."""
+    base = MonomialIdeal(ell * w for w in pencil)
+    line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
+    tangent = grassmann_tangent(line) + grassmann_tangent(span)
+    lcm = base.generators[0].lcm(base.generators[1])
+    normal = grassmann_tangent(base) - tangent
+    return BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1)
 
 
 def stage2_centers() -> list[BlowupCenterDatum]:
@@ -203,7 +204,8 @@ def stage2_centers() -> list[BlowupCenterDatum]:
 
     Each is a flag l in W = <l, w> of linear forms and an invariant quadric
     q on the line L = {l = w = 0}: base ideal l*(l, w, q), center tangent
-    Hom(l, V[1]/l) + Hom(W/l, V[1]/W) + Hom(q, V_L[2]/q).
+    Hom(l, V[1]/l) + Hom(W/l, V[1]/W) + Hom(q, V_L[2]/q).  The ambient
+    tangent is the blow-up tangent over the stage-1 center l*W along q/(l*w).
 
     >>> center = next(c for c in stage2_centers() if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
     >>> print(center.tangent_to_center)
@@ -211,16 +213,16 @@ def stage2_centers() -> list[BlowupCenterDatum]:
     >>> print(center.lcm_base)
     x1*x2*x3^2
     """
-    stage1 = stage1_centers()
-    linear = invariant_sections(3, 1).support()
+    linear = invariant_sections(3, 1)
     centers = []
     for ell, w in permutations(linear, 2):
+        parent = _stage1_center(ell, (ell, w))
         on_line = [p for p in invariant_sections(3, 2) if p.gcd(ell * w).is_trivial()]
         for q in on_line:
             base = MonomialIdeal([ell * ell, ell * w, ell * q])
             lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
             tangent = grassmann_tangent(MonomialIdeal([ell])) + RepElement.from_monomials(lines)
-            normal = stage2_composed_tangent(base, stage1) - tangent
+            normal = blowup_point_tangent(parent, q / (ell * w)) - tangent
             centers.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
     return centers
 
@@ -348,7 +350,9 @@ def stage2_composed_tangent(
     A second-stage center point sits on the exceptional divisor of the
     first blow-up: its base ideal extends a first-stage base by one
     generator lcm * xi.  Locating that parent center and direction, the
-    ambient tangent follows from the blow-up tangent decomposition.
+    ambient tangent follows from the blow-up tangent decomposition.  The
+    search among `stage1` cross-checks `stage2_centers`, which knows each
+    parent from its flag.
     """
     parents = [
         c for c in stage1 if set(c.base_ideal.generators) < set(base.generators)
@@ -418,7 +422,7 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     points = []
-    linear = invariant_sections(4, 1).support()  # x1..x4
+    linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
         dual_tangent = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
         for point in h3:
@@ -448,7 +452,7 @@ def fiber_rep(I: MonomialIdeal) -> RepElement:
     """
     twist = ideal_twist(I, DEGREE)
     return RepElement.from_monomials(
-        m for m in _section_list(I.nvars - 1, DEGREE) if m not in twist
+        m for m in invariant_sections(I.nvars - 1, DEGREE) if m not in twist
     )
 
 
@@ -461,8 +465,8 @@ def lemma_injectivity_check(I: MonomialIdeal) -> bool:
     """
     if I.nvars != 4:
         raise ValueError(f"expected four characters: {I}")
-    multipliers = invariant_sections(3, 1).support()
-    for m in invariant_sections(3, 3).support():
+    multipliers = invariant_sections(3, 1)
+    for m in invariant_sections(3, 3):
         if I.contains(m):
             continue
         if all(I.contains(x * m) for x in multipliers):

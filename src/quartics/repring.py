@@ -14,12 +14,12 @@ The ambient geometry is the weighted projective space P(2,1,...,1),
 realized as the quotient of ordinary projective n-space by the order-two
 group Gamma that negates x0.  Sections of O(m) on the quotient correspond
 to degree-m monomials with even x0-exponent (Gamma-invariant monomials,
-as tested by `LaurentMonomial.is_invariant`); these span the spaces V[m]
-returned by `invariant_sections`.
+as tested by `LaurentMonomial.is_invariant`); `invariant_sections` gives
+the space V[m] they span as its tuple of monomials in canonical order.
 
 Torus-fixed curves have monomial graded ideals (`MonomialIdeal`); the
-degree-k slice of such an ideal inside the invariant ring is returned by
-`ideal_twist`.  All values are immutable and all operations are pure.
+degree-k slice of such an ideal, the set of sections of V[k] lying in it,
+is `ideal_twist`.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ class MonomialIdeal:
 
 
 def _degree_monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors of the given length summing to `degree`."""
+    """All exponent vectors of the given length summing to `degree`, descending."""
     if nvars == 1:
         yield (degree,)
         return
@@ -345,14 +345,14 @@ def _degree_monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def invariant_sections(n: int, m: int) -> RepElement:
+def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
     """The Gamma-invariant subspace V[m] of the degree-m sections.
 
-    Returns the multiplicity-1 sum of all degree-m monomials in x0..xn
-    whose x0-exponent is even, i.e. the sections of O(m) on the quotient
-    P(2,1,...,1).  Computed by direct combinatorial enumeration.
+    Returns the degree-m monomials in x0..xn whose x0-exponent is even,
+    i.e. the sections of O(m) on the quotient P(2,1,...,1), in canonical
+    order.  Computed by direct combinatorial enumeration.
 
-    >>> invariant_sections(3, 2).dimension
+    >>> len(invariant_sections(3, 2))
     7
     >>> [str(m) for m in invariant_sections(3, 1)]
     ['x1', 'x2', 'x3']
@@ -361,7 +361,7 @@ def invariant_sections(n: int, m: int) -> RepElement:
         raise ValueError(f"need at least two characters, got n={n}")
     if m < 0:
         raise ValueError(f"negative degree: {m}")
-    return RepElement.from_monomials(
+    return tuple(
         mono
         for mono in map(LaurentMonomial, _degree_monomials(n + 1, m))
         if mono.is_invariant()
@@ -369,33 +369,24 @@ def invariant_sections(n: int, m: int) -> RepElement:
 
 
 @lru_cache(maxsize=None)
-def _section_list(n: int, k: int) -> tuple[LaurentMonomial, ...]:
-    """The monomials of `invariant_sections(n, k)` in canonical order."""
-    return tuple(invariant_sections(n, k).support())
-
-
-@lru_cache(maxsize=None)
 def _multiples(g: LaurentMonomial, k: int) -> int:
-    """Bit i is set when g divides the i-th section of `_section_list`."""
-    sections = _section_list(len(g) - 1, k)
+    """Bit i is set when g divides the i-th section of `invariant_sections`."""
+    sections = invariant_sections(len(g) - 1, k)
     return sum(1 << i for i, m in enumerate(sections) if g.divides(m))
 
 
-def ideal_twist(I: MonomialIdeal, k: int) -> RepElement:
+def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """The degree-k slice of the ideal inside the invariant ring.
 
-    Returns the multiplicity-1 sum of the distinct invariant degree-k
-    monomials lying in I; a monomial divisible by several generators is
-    counted once.  The slice is the OR of cached per-generator masks of
-    multiples; the tests keep the scan of every section with
-    `MonomialIdeal.contains` as its oracle.
+    Returns the set of invariant degree-k monomials lying in I, the
+    sections of `invariant_sections` whose bit is set in the OR of cached
+    per-generator masks of multiples; the tests keep the scan of every
+    section with `MonomialIdeal.contains` as its oracle.
 
     >>> I = MonomialIdeal([LaurentMonomial((2, 0, 0, 0))])
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    sections = _section_list(I.nvars - 1, k)
+    sections = invariant_sections(I.nvars - 1, k)
     mask = reduce(operator.or_, (_multiples(g, k) for g in I.generators))
-    return RepElement.from_monomials(
-        m for i, m in enumerate(sections) if mask >> i & 1
-    )
+    return frozenset(m for i, m in enumerate(sections) if mask >> i & 1)

@@ -89,7 +89,7 @@ def test_criterion_6_center_table_consistency():
     blow-up tangent composition at stage 2) is the center tangent plus the
     normal space, term for term, and the normal space is 6 distinct
     degree-0 characters of multiplicity 1."""
-    v2 = invariant_sections(3, 2)
+    v2 = RepElement.from_monomials(invariant_sections(3, 2))
     stage1 = stage1_centers()
     for center in stage1 + stage2_centers():
         gens = RepElement.from_monomials(center.base_ideal.generators)

@@ -1,8 +1,10 @@
 """The benchmark's layer hooks still find what they patch.
 
-`bench/tracehooks.py` replaces functions on the package modules by name;
-a rename or move in `src/` would break the traced benchmark runs without
-failing any other test.  The module is imported as it is, never edited.
+`bench/tracehooks.py` replaces functions on the package modules by name,
+and `bench/run.py` pins the counts its spans record; a rename in `src/`,
+a change to a hooked function's return value or to how often it is
+called would break the traced benchmark runs without failing any other
+test.  Both modules are imported as they are, never edited.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def tracehooks(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     return importlib.import_module("tracehooks")
+
+
+@pytest.fixture
+def bench_run(tracehooks):
+    return importlib.import_module("run")
 
 
 def test_every_hook_resolves(tracehooks):
@@ -47,3 +54,25 @@ def test_verify_records_the_pinned_spans(tracehooks, capsys):
         "fixedpoints.lemma_injectivity_check": 126,
     }
     assert {name: calls[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "workload, argv", [("count", ["count"]), ("dump", ["fixed-points", "--json"])]
+)
+def test_build_holds_the_pinned_counts(workload, argv, tracehooks, bench_run, capsys):
+    # One traced op as `bench/traced_cli.py` runs it: a root `cli.main` span
+    # around the command, totalled by the benchmark's own code.
+    recorder = tracehooks.Recorder()
+    recorder.install()
+    try:
+        code = recorder.wrap("cli.main", cli.main)(argv)
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    [(root, totals)] = bench_run.layer_ops(recorder.spans)
+    assert root == "cli.main"
+    assert bench_run.count_problems(workload, [totals], bench_run.OP_COUNTS[workload]) == []
+    # 126 ideals of P(2,1,1,1) with 50 sextic sections, 504 of P(2,1,1,1,1) with 130.
+    assert totals["repring.ideal_twist.scanned"] == 126 * 50 + 504 * 130 == 71820
+    assert totals["repring.ideal_twist.kept"] == 63630

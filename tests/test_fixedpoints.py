@@ -120,7 +120,7 @@ def test_stage1_pencil_table():
 def test_stage1_tables_match_ambient_tangent():
     # The derived center tangent and normal space split Hom(I, V[2]/I)
     # at every first-stage center.
-    v2 = invariant_sections(3, 2)
+    v2 = RepElement.from_monomials(invariant_sections(3, 2))
     for center in stage1_centers():
         gens = RepElement.from_monomials(center.base_ideal.generators)
         ambient = (v2 - gens) * gens.dual()
@@ -541,7 +541,9 @@ def test_fiber_rep_is_sections_minus_twist(h3_points, h4_points):
         n = p.ideal.nvars - 1
         sections = invariant_sections(n, 6)
         twist = ideal_twist(p.ideal, 6)
-        assert p.fiber == sections - twist, p.ideal
+        assert p.fiber == (
+            RepElement.from_monomials(sections) - RepElement.from_monomials(twist)
+        ), p.ideal
         assert {k for _, k in p.fiber.items()} == {1}
         assert len(p.fiber) + len(twist) == len(sections) == {3: 50, 4: 130}[n]
 
@@ -550,7 +552,7 @@ def test_lemma_injectivity_examples():
     assert lemma_injectivity_check(ideal("x1*x2", "x1*x3", "x0^2*x2"))
     # All invariant quartics, with every invariant cubic outside: each
     # multiplier x_i m is a quartic inside the ideal, so the check fails.
-    quartics_ideal = MonomialIdeal(invariant_sections(3, 4).support())
+    quartics_ideal = MonomialIdeal(invariant_sections(3, 4))
     assert not lemma_injectivity_check(quartics_ideal)
 
 
