@@ -207,6 +207,11 @@ def _check_args(args) -> None:
                 f"--range {lo} {hi} holds fewer than {bott.MIN_RANGE_WIDTH} integers; "
                 f"no narrower range has a usable weight vector"
             )
+        if hi - lo + 1 > sys.maxsize:
+            raise ConfigError(
+                f"--range {lo} {hi} holds more than {sys.maxsize} integers, "
+                f"too many to sample from"
+            )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

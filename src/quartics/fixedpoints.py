@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Iterable, Sequence
 
 from .repring import (
@@ -417,19 +417,22 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     x_i, the tangent space gains the hyperplane's three directions
     x_j / x_i (j in 1..4, j != i), and the fiber is recomputed in the
     five-character ring.  The remapped generators and x_i make up one
-    ideal, reduced once.
+    ideal, reduced once.  The 126 points share most of their characters,
+    so each hyperplane remaps each distinct character once, into one map.
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
+    characters = {m for point in h3 for m in chain(point.ideal.generators, point.tangent)}
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
-        dual_tangent = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
+        carried = {m: m.remap(PERM_H[i], 5) for m in characters}
+        dual_tangent = [(x_j / x_i, 1) for x_j in linear if x_j != x_i]
         for point in h3:
-            ideal = MonomialIdeal(
-                [*(g.remap(PERM_H[i], 5) for g in point.ideal.generators), x_i]
+            ideal = MonomialIdeal([*map(carried.__getitem__, point.ideal.generators), x_i])
+            tangent = RepElement(
+                [(carried[m], k) for m, k in point.tangent.items()] + dual_tangent
             )
-            tangent = point.tangent.remap(PERM_H[i], 5) + dual_tangent
             points.append(
                 FixedPoint(
                     stage=point.stage,
@@ -447,12 +450,11 @@ def fiber_rep(I: MonomialIdeal) -> RepElement:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
     Spanned by the invariant degree-6 monomials not lying in the ideal,
-    each with multiplicity 1: the sections of the canonical tuple that the
-    twist does not hold.
+    each with multiplicity 1: the sections that the twist does not hold.
     """
     twist = ideal_twist(I, DEGREE)
     return RepElement.from_monomials(
-        m for m in invariant_sections(I.nvars - 1, DEGREE) if m not in twist
+        frozenset(invariant_sections(I.nvars - 1, DEGREE)).difference(twist)
     )
 
 

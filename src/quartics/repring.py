@@ -19,7 +19,9 @@ the space V[m] they span as its tuple of monomials in canonical order.
 
 Torus-fixed curves have monomial graded ideals (`MonomialIdeal`); the
 degree-k slice of such an ideal, the set of sections of V[k] lying in it,
-is `ideal_twist`.  All values are immutable and all operations are pure.
+is `ideal_twist`: the union of the sections each generator divides, which
+are the generator times the sections of the complementary degree.  All
+values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -80,24 +82,24 @@ class LaurentMonomial(tuple):
 
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(a + b for a, b in zip(self, other))
+        return LaurentMonomial(map(operator.add, self, other))
 
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(a - b for a, b in zip(self, other))
+        return LaurentMonomial(map(operator.sub, self, other))
 
     def divides(self, other: "LaurentMonomial") -> bool:
         """True when other/self has no negative exponent."""
         self._require_same_ring(other)
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(operator.le, self, other))
 
     def lcm(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(max(a, b) for a, b in zip(self, other))
+        return LaurentMonomial(map(max, self, other))
 
     def gcd(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(min(a, b) for a, b in zip(self, other))
+        return LaurentMonomial(map(min, self, other))
 
     def remap(self, perm: Sequence[int], nvars: int) -> "LaurentMonomial":
         """Carry the monomial into a ring of `nvars` characters, where
@@ -147,7 +149,7 @@ class RepElement:
         acc: dict[LaurentMonomial, int] = {}
         for monomial, mult in items:
             acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
-        counts = {len(monomial) for monomial in acc}
+        counts = set(map(len, acc))
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")
         object.__setattr__(self, "_terms", {m: k for m, k in acc.items() if k})
@@ -217,10 +219,6 @@ class RepElement:
     def dual(self) -> "RepElement":
         """Invert every character; multiplicities are preserved."""
         return RepElement((LaurentMonomial(-e for e in m), k) for m, k in self._terms.items())
-
-    def remap(self, perm: Sequence[int], nvars: int) -> "RepElement":
-        """Carry every term into another ring along `LaurentMonomial.remap`."""
-        return RepElement((m.remap(perm, nvars), k) for m, k in self._terms.items())
 
     # -- identity and rendering ---------------------------------------------
 
@@ -369,24 +367,31 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _multiples(g: LaurentMonomial, k: int) -> int:
-    """Bit i is set when g divides the i-th section of `invariant_sections`."""
-    sections = invariant_sections(len(g) - 1, k)
-    return sum(1 << i for i, m in enumerate(sections) if g.divides(m))
+def _multiples(g: LaurentMonomial, k: int) -> frozenset[LaurentMonomial]:
+    """The degree-k invariant sections divisible by the invariant monomial g.
+
+    A section is divisible by g iff its quotient by g is an invariant
+    section of degree k - deg g, so these are g times the sections of
+    that degree; there are none when deg g > k.
+    """
+    if g.degree > k:
+        return frozenset()
+    return frozenset(map(g.__mul__, invariant_sections(len(g) - 1, k - g.degree)))
 
 
 def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """The degree-k slice of the ideal inside the invariant ring.
 
-    Returns the set of invariant degree-k monomials lying in I, the
-    sections of `invariant_sections` whose bit is set in the OR of cached
-    per-generator masks of multiples; the tests keep the scan of every
-    section with `MonomialIdeal.contains` as its oracle.
+    Returns the set of invariant degree-k monomials lying in I, the union
+    of the cached sets of multiples of its generators; the tests keep the
+    scan of every section with `MonomialIdeal.contains` as its oracle.
 
     >>> I = MonomialIdeal([LaurentMonomial((2, 0, 0, 0))])
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    sections = invariant_sections(I.nvars - 1, k)
-    mask = reduce(operator.or_, (_multiples(g, k) for g in I.generators))
-    return frozenset(m for i, m in enumerate(sections) if mask >> i & 1)
+    if k < 0:
+        raise ValueError(f"negative degree: {k}")
+    if not I.generators:
+        raise ValueError("empty ideal has no ring context")
+    return frozenset().union(*(_multiples(g, k) for g in I.generators))

@@ -421,6 +421,10 @@ def test_unknown_command_is_a_usage_error(capsys):
         pytest.param("verify --weights 1 2 3 4 5", "--weights 1 2 3 4 5", id="verify-weights"),
         pytest.param("count --range 1 100", "--range applies to count only with --seed",
                      id="count-range-without-seed"),
+        pytest.param("count --seed 1 --range 1 100000000000000000000",
+                     "--range 1 100000000000000000000", id="count-range-too-wide"),
+        pytest.param("verify --range 1 100000000000000000000",
+                     "--range 1 100000000000000000000", id="verify-range-too-wide"),
     ],
 )
 def test_invalid_arguments_exit_2(argv, named, capsys):

@@ -13,6 +13,7 @@ from quartics.fixedpoints import (
     STAGE_BLOWUP2,
     STAGE_GRASSMANNIAN,
     BlowupCenterDatum,
+    FixedPoint,
     assemble_h4,
     blowup_fixed_points,
     blowup_point_tangent,
@@ -498,15 +499,19 @@ def test_assemble_rejects_wrong_input_size(h3_points):
         assemble_h4(h3_points[:10])
 
 
+#: A second hyperplane table: each hyperplane's weight-one characters in
+#: reverse cyclic order.
+ALT_PERM_H = {1: (0, 4, 3, 2), 2: (0, 1, 4, 3), 3: (0, 2, 1, 4), 4: (0, 3, 2, 1)}
+
+
 def test_relabeled_assembly_gives_the_same_count(h3_points, monkeypatch):
     # The hyperplane/character correspondence is a convention: any
     # bijective relabeling of the weight-one characters yields the same
     # localization value.  In fact the 126 points are closed under
     # relabeling x1,x2,x3 and all attached data is equivariant, so the
     # assembled point set is identical and the sum follows.
-    alt_perm_h = {1: (0, 4, 3, 2), 2: (0, 1, 4, 3), 3: (0, 2, 1, 4), 4: (0, 3, 2, 1)}
     default = assemble_h4(h3_points)
-    monkeypatch.setattr(fixedpoints, "PERM_H", alt_perm_h)
+    monkeypatch.setattr(fixedpoints, "PERM_H", ALT_PERM_H)
     relabeled = assemble_h4(h3_points)
     assert set(relabeled) == set(default)
     assert validate_weights(relabeled, DEFAULT_WEIGHTS)
@@ -514,6 +519,31 @@ def test_relabeled_assembly_gives_the_same_count(h3_points, monkeypatch):
         bott_sum(relabeled, DEFAULT_WEIGHTS).value
         == bott_sum(default, DEFAULT_WEIGHTS).value
     )
+
+
+def _direct_h4(h3_points):
+    """Oracle for `assemble_h4`: each point re-embedded on its own, its
+    tangent remapped as a whole and its fiber computed from its ideal."""
+    linear = invariant_sections(4, 1)
+    points = []
+    for i, x_i in enumerate(linear, start=1):
+        perm = fixedpoints.PERM_H[i]
+        dual = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
+        for p in h3_points:
+            ideal = MonomialIdeal([*(g.remap(perm, 5) for g in p.ideal.generators), x_i])
+            tangent = RepElement((m.remap(perm, 5), k) for m, k in p.tangent.items()) + dual
+            points.append(FixedPoint(p.stage, ideal, tangent, fiber_rep(ideal), i))
+    return sorted(points, key=FixedPoint.sort_key)
+
+
+@pytest.mark.parametrize("perm_h", [PERM_H, ALT_PERM_H], ids=["default", "relabeled"])
+def test_assembly_matches_direct_construction(h3_points, perm_h, monkeypatch):
+    monkeypatch.setattr(fixedpoints, "PERM_H", perm_h)
+    assembled, direct = assemble_h4(h3_points), _direct_h4(h3_points)
+    assert len(assembled) == len(direct) == 504
+    for got, want in zip(assembled, direct):
+        for field in ("stage", "hyperplane", "ideal", "tangent", "fiber"):
+            assert getattr(got, field) == getattr(want, field), (want.label, field)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,9 @@ def test_invariant_sections_all_multiplicity_one():
 
 
 def test_invariant_sections_strictly_descending():
-    # `_multiples` numbers its bits by position in this tuple, so the order
-    # must be the canonical one, with no section twice.
+    # `assemble_h4` numbers the hyperplanes {x_i = 0} by position in V[1],
+    # and `grassmann_tangent` lifts the tuple with multiplicity one, so the
+    # order must be the canonical one, with no section twice.
     for n, m in product((3, 4), range(7)):
         sections = invariant_sections(n, m)
         assert all(a > b for a, b in zip(sections, sections[1:])), (n, m)
@@ -259,6 +260,15 @@ def test_ideal_twist_monotone():
             assert grown <= ideal_twist(ideal, k + 1)
 
 
+def test_ideal_twist_rejects_bad_input():
+    # An empty ideal has no ring, and no slice has negative degree; a bare
+    # union of the sets of multiples would be empty in both cases.
+    with pytest.raises(ValueError):
+        ideal_twist(MonomialIdeal([]), 6)
+    with pytest.raises(ValueError):
+        ideal_twist(ideal("x1*x2", "x1*x3"), -1)
+
+
 def _scan_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """Oracle for `ideal_twist`: every invariant degree-k section in I."""
     return frozenset(m for m in invariant_sections(I.nvars - 1, k) if I.contains(m))
@@ -267,10 +277,10 @@ def _scan_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
 def test_ideal_twist_matches_scan(h3_points, h4_points):
     for p in [*h3_points, *h4_points]:
         assert ideal_twist(p.ideal, 6) == _scan_twist(p.ideal, 6), p.ideal
-    # Start from empty masks and alternate rings and degrees, so that a mask
-    # cached for one of them would be served to the next if the key missed
-    # the character count or the degree.  Degrees 0 and 1 lie below some
-    # generators, whose masks must then be empty.
+    # Start from an empty cache and alternate rings and degrees, so that a
+    # set of multiples cached for one of them would be served to the next
+    # if the key missed the character count or the degree.  Degrees 0 and
+    # 1 lie below some generators, whose sets must then be empty.
     repring._multiples.cache_clear()
     for k in range(8):
         for ideal in HAND_IDEALS:
