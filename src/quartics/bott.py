@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
 from .repring import LaurentMonomial
@@ -60,8 +59,7 @@ class WeightSearchExhausted(RuntimeError):
         self.lo, self.hi = lo, hi
 
 
-@dataclass(frozen=True)
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     """Value of the localization sum, optionally with per-point summands."""
 
     value: Fraction

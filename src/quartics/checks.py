@@ -6,7 +6,7 @@ Every layer is reached through its module attributes (``fixedpoints.enumerate_h3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bott, fixedpoints
 
@@ -14,8 +14,7 @@ from . import bott, fixedpoints
 VERIFY_SEED_COUNT = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

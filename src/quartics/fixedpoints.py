@@ -37,10 +37,9 @@ recomputes every blown-up ideal from first principles as a flat limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .repring import (
     LaurentMonomial,
@@ -48,6 +47,7 @@ from .repring import (
     RepElement,
     ideal_twist,
     invariant_sections,
+    section_map,
 )
 
 STAGE_GRASSMANNIAN = "grassmannian"
@@ -72,21 +72,23 @@ PERM_H: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """A torus-fixed point with its ideal, tangent and fiber data.
-
-    `hyperplane` is None for points of the P(2,1,1,1) component and the
-    index i of the invariant hyperplane {x_i = 0} after assembly into
-    P(2,1,1,1,1).  The `*_characters` properties are cached on first use;
-    they are not fields, so equality, hashing, repr and the dump ignore them.
-    """
-
+class _FixedPointFields(NamedTuple):
     stage: str
     ideal: MonomialIdeal
     tangent: RepElement
     fiber: RepElement
     hyperplane: int | None = None
+
+
+class FixedPoint(_FixedPointFields):
+    """A torus-fixed point with its ideal, tangent and fiber data.
+
+    `hyperplane` is None for points of the P(2,1,1,1) component and the
+    index i of the invariant hyperplane {x_i = 0} after assembly into
+    P(2,1,1,1,1).  The `*_characters` properties are cached on first use
+    in the instance dict, which this subclass of the field tuple adds; they
+    are not fields, so equality, hashing, repr and the dump ignore them.
+    """
 
     @cached_property
     def fiber_characters(self) -> tuple[LaurentMonomial, ...]:
@@ -111,8 +113,7 @@ class FixedPoint:
         )
 
 
-@dataclass(frozen=True)
-class BlowupCenterDatum:
+class BlowupCenterDatum(NamedTuple):
     """Tangent/normal data at one torus-fixed point of a blow-up center.
 
     `normal_basis` is the normal space, the ambient tangent minus
@@ -418,26 +419,28 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     x_j / x_i (j in 1..4, j != i), and the fiber is recomputed in the
     five-character ring.  The remapped generators and x_i make up one
     ideal, reduced once.  The 126 points share most of their characters,
-    so each hyperplane remaps each distinct character once, into one map.
+    so each hyperplane remaps each distinct character once, into one map,
+    and each tangent is one dict of carried terms plus the directions.
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     characters = {m for point in h3 for m in chain(point.ideal.generators, point.tangent)}
+    tangents = [point.tangent.items() for point in h3]
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
         carried = {m: m.remap(PERM_H[i], 5) for m in characters}
-        dual_tangent = [(x_j / x_i, 1) for x_j in linear if x_j != x_i]
-        for point in h3:
+        directions = dict.fromkeys((x_j / x_i for x_j in linear if x_j != x_i), 1)
+        for point, terms in zip(h3, tangents):
             ideal = MonomialIdeal([*map(carried.__getitem__, point.ideal.generators), x_i])
-            tangent = RepElement(
-                [(carried[m], k) for m, k in point.tangent.items()] + dual_tangent
-            )
+            # A carried character has exponent 0 at x_i and a direction has
+            # -1 there, so the two parts of the tangent share no key.
+            tangent = {carried[m]: k for m, k in terms} | directions
             points.append(
                 FixedPoint(
                     stage=point.stage,
                     ideal=ideal,
-                    tangent=tangent,
+                    tangent=RepElement(tangent),
                     fiber=fiber_rep(ideal),
                     hyperplane=i,
                 )
@@ -453,9 +456,7 @@ def fiber_rep(I: MonomialIdeal) -> RepElement:
     each with multiplicity 1: the sections that the twist does not hold.
     """
     twist = ideal_twist(I, DEGREE)
-    return RepElement.from_monomials(
-        frozenset(invariant_sections(I.nvars - 1, DEGREE)).difference(twist)
-    )
+    return RepElement.from_monomials(section_map(I.nvars - 1, DEGREE).keys() - twist)
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:

@@ -27,9 +27,10 @@ values are immutable and all operations are pure.
 from __future__ import annotations
 
 import operator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class LaurentMonomial(tuple):
@@ -80,13 +81,16 @@ class LaurentMonomial(tuple):
                 f"mismatched character count: {len(self)} vs {len(other)}"
             )
 
+    # A product or quotient of two monomials has integer exponents already,
+    # so it builds its tuple without the conversion in __new__.
+
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(map(operator.add, self, other))
+        return tuple.__new__(LaurentMonomial, map(operator.add, self, other))
 
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(map(operator.sub, self, other))
+        return tuple.__new__(LaurentMonomial, map(operator.sub, self, other))
 
     def divides(self, other: "LaurentMonomial") -> bool:
         """True when other/self has no negative exponent."""
@@ -143,24 +147,29 @@ class RepElement:
         self,
         terms: Mapping[LaurentMonomial, int] | Iterable[tuple[LaurentMonomial, int]] = (),
     ):
-        # Every ring operation accumulates here.  The character count is
-        # checked before zeros are dropped, so a cancelled term still counts.
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[LaurentMonomial, int] = {}
-        for monomial, mult in items:
-            acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
+        # A mapping has one multiplicity per monomial already; pairs from
+        # ring operations accumulate.  The character count is checked before
+        # zeros are dropped, so a cancelled term still counts.
+        if isinstance(terms, Mapping):
+            acc = dict(zip(terms, map(operator.index, terms.values())))
+        else:
+            acc = {}
+            for monomial, mult in terms:
+                acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
         counts = set(map(len, acc))
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")
-        object.__setattr__(self, "_terms", {m: k for m, k in acc.items() if k})
+        if 0 in acc.values():
+            acc = {m: k for m, k in acc.items() if k}
+        object.__setattr__(self, "_terms", acc)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RepElement is immutable")
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[LaurentMonomial]) -> "RepElement":
-        """Multiplicity-1 sum of the given monomials."""
-        return cls((m, 1) for m in monomials)
+        """Sum of the given monomials, each occurrence with multiplicity 1."""
+        return cls(Counter(monomials))
 
     # -- queries ---------------------------------------------------------
 
@@ -265,23 +274,22 @@ class MonomialIdeal:
 
     def __init__(self, generators: Iterable[LaurentMonomial]):
         gens = list(dict.fromkeys(generators))
-        nvars: int | None = None
-        for g in gens:
-            if nvars is None:
-                nvars = len(g)
-            elif len(g) != nvars:
-                raise ValueError(
-                    f"mismatched character count: {len(g)} vs {nvars}"
-                )
-            if not g.is_regular():
-                raise ValueError(f"ideal generator has a negative exponent: {g}")
-            if not g.is_invariant():
-                raise ValueError(f"ideal generator is not Gamma-invariant: {g}")
-        reduced = [
-            g
-            for g in gens
-            if not any(h is not g and h.divides(g) for h in gens)
-        ]
+        counts = set(map(len, gens))
+        if len(counts) > 1:
+            raise ValueError(f"mismatched character counts: {sorted(counts)}")
+        if gens and min(map(min, gens)) < 0:
+            bad = next(g for g in gens if not g.is_regular())
+            raise ValueError(f"ideal generator has a negative exponent: {bad}")
+        if any(g[0] & 1 for g in gens):
+            bad = next(g for g in gens if not g.is_invariant())
+            raise ValueError(f"ideal generator is not Gamma-invariant: {bad}")
+        # Walking up in degree, a generator is dropped when a kept one
+        # divides it.  Only a kept one of lower degree ever does: a divisor
+        # of equal degree is the generator itself, and duplicates are gone.
+        reduced: list[LaurentMonomial] = []
+        for g in sorted(gens, key=sum):
+            if not any(all(map(operator.le, h, g)) for h in reduced):
+                reduced.append(g)
         reduced.sort(reverse=True)
         object.__setattr__(self, "generators", tuple(reduced))
 
@@ -310,7 +318,7 @@ class MonomialIdeal:
         the same descending-lexicographic convention as monomial terms
         ((x0^2, x1^2) before (x2^2, x3^2)).
         """
-        return tuple(tuple(-e for e in g) for g in self.generators)
+        return tuple(tuple(map(operator.neg, g)) for g in self.generators)
 
     # -- identity and rendering ---------------------------------------------
 
@@ -367,16 +375,32 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
+def section_map(n: int, k: int) -> dict[LaurentMonomial, LaurentMonomial]:
+    """V[k] as a map from each of its sections to itself.
+
+    Looking a monomial up returns the section object that V[k] holds, so
+    sets built from it share their members with every other such set.
+    """
+    return {m: m for m in invariant_sections(n, k)}
+
+
+@lru_cache(maxsize=None)
 def _multiples(g: LaurentMonomial, k: int) -> frozenset[LaurentMonomial]:
     """The degree-k invariant sections divisible by the invariant monomial g.
 
     A section is divisible by g iff its quotient by g is an invariant
     section of degree k - deg g, so these are g times the sections of
-    that degree; there are none when deg g > k.
+    that degree; there are none when deg g > k.  The members are V[k]'s
+    own section objects, from `section_map`.
     """
-    if g.degree > k:
+    n, d = len(g) - 1, g.degree
+    if d > k:
         return frozenset()
-    return frozenset(map(g.__mul__, invariant_sections(len(g) - 1, k - g.degree)))
+    # A monomial is its exponent tuple, so the plain tuple g*q finds it.
+    sections = section_map(n, k)
+    return frozenset(
+        sections[tuple(map(operator.add, g, q))] for q in invariant_sections(n, k - d)
+    )
 
 
 def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -331,10 +330,10 @@ def test_verify_names_the_first_bad_character(kind, h3_points, h4_points):
     point = h3_points[5]
     if kind == "tangent":
         tangent = point.tangent - lines(str(point.tangent.support()[0])) + lines("1")
-        bad = dataclasses.replace(point, tangent=tangent)
+        bad = point._replace(tangent=tangent)
         expected = f"tangent character 1 with multiplicity 1 at {point.label}"
     else:
-        bad = dataclasses.replace(point, fiber=point.fiber - lines("x0^2"))
+        bad = point._replace(fiber=point.fiber - lines("x0^2"))
         expected = f"fiber character x0^2 with multiplicity -1 at {point.label}"
     mutated = [bad if p is point else p for p in h3_points]
     with prebuilt(mutated, h4_points):
@@ -359,6 +358,20 @@ def test_importing_checks_leaves_cli_unloaded():
         capture_output=True, text=True, timeout=60, env=module_env(),
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_count_imports_neither_dataclasses_nor_inspect():
+    # Both cost more to import than the package itself; the record types
+    # are named tuples so that a `count` process needs neither.
+    script = (
+        "import sys, quartics.cli as cli; code = cli.main(['count']); "
+        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert proc.stdout.splitlines() == ["6028452", "0 []"], proc.stderr
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -521,6 +521,19 @@ def test_relabeled_assembly_gives_the_same_count(h3_points, monkeypatch):
     )
 
 
+def test_assembly_reads_the_hyperplane_table_when_called(h3_points, h4_points, monkeypatch):
+    # Every valid table gives the same 504 points, so only an invalid one
+    # shows which table `assemble_h4` read: this one lands hyperplane 1's
+    # points on x1.  Those 126 points all change and the other 378 do not;
+    # a table bound when the module was imported would change none.
+    monkeypatch.setattr(fixedpoints, "PERM_H", {**PERM_H, 1: PERM_H[4]})
+    moved = assemble_h4(h3_points)
+    on_1 = [p for p in moved if p.hyperplane == 1]
+    assert len(on_1) == 126
+    assert not set(on_1) & set(h4_points)
+    assert [p for p in moved if p.hyperplane != 1] == [p for p in h4_points if p.hyperplane != 1]
+
+
 def _direct_h4(h3_points):
     """Oracle for `assemble_h4`: each point re-embedded on its own, its
     tangent remapped as a whole and its fiber computed from its ideal."""

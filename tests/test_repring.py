@@ -57,6 +57,8 @@ def test_parse_rejects_garbage():
             LaurentMonomial(exps)
     with pytest.raises(TypeError):
         RepElement([(mono("x1*x2^-1"), 1.5)])
+    with pytest.raises(TypeError):
+        RepElement({mono("x1*x2^-1"): 1.5})
 
 
 def test_monomial_arithmetic():
@@ -102,9 +104,14 @@ def test_mixed_ring_sizes_error():
         rep("x1", nvars=4) * rep("x1", nvars=5)
     with pytest.raises(ValueError):
         rep("x1", nvars=4) - rep("x1", nvars=5)
-    # A zero multiplicity does not hide a term of the wrong ring.
+    # A zero multiplicity does not hide a term of the wrong ring, given as
+    # pairs or as a dict.
     with pytest.raises(ValueError):
         RepElement([(mono("x1", 4), 1), (mono("x1", 5), 0)])
+    with pytest.raises(ValueError):
+        RepElement({mono("x1", 4): 1, mono("x1", 5): 0})
+    with pytest.raises(ValueError):
+        MonomialIdeal([mono("x1", 4), mono("x2", 5)])
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,20 @@ def test_rep_add_collects_multiplicities():
     a = rep("x1*x2^-1")
     assert dict((a + a).items()) == {mono("x1*x2^-1"): 2}
     assert (a + a).dimension == 2
+
+
+def test_rep_from_a_dict_drops_zero_multiplicities():
+    a = RepElement({mono("x1*x2^-1"): 2, mono("x3"): 0})
+    assert a.items() == [(mono("x1*x2^-1"), 2)]
+    assert mono("x3") not in a and len(a) == 1
+    assert a == RepElement({mono("x1*x2^-1"): 2})
+
+
+def test_rep_from_monomials_counts_repeats():
+    assert RepElement.from_monomials([mono("x1"), mono("x2"), mono("x1")]).items() == [
+        (mono("x1"), 2),
+        (mono("x2"), 1),
+    ]
 
 
 def test_rep_add_cancellation():
@@ -215,6 +236,32 @@ def test_ideal_reduction_and_ordering():
     assert [str(g) for g in I.generators] == ["x1*x2", "x1*x3"]
 
 
+def _pairwise_reduction(gens):
+    """Oracle for `MonomialIdeal.generators`: drop every generator that a
+    different one divides, then sort descending."""
+    distinct = set(gens)
+    return tuple(sorted(
+        (g for g in distinct if not any(h != g and h.divides(g) for h in distinct)),
+        reverse=True,
+    ))
+
+
+#: Invariant monomials of degree at most 3: small enough that random lists
+#: repeat generators, hold equal-degree pairs and have divisibilities.
+SMALL_INVARIANT = [m for d in range(4) for m in invariant_sections(3, d)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_INVARIANT), min_size=1, max_size=7), st.data())
+def test_ideal_reduction_matches_pairwise_divisibility(gens, data):
+    # One generator is listed twice, and one of equal degree to it joins.
+    first = gens[0]
+    twin = data.draw(st.sampled_from(invariant_sections(3, first.degree)))
+    gens = [*gens, first, twin]
+    assert MonomialIdeal(gens).generators == _pairwise_reduction(gens)
+    assert MonomialIdeal(reversed(gens)).generators == _pairwise_reduction(gens)
+
+
 def test_ideal_rejects_negative_and_noninvariant():
     with pytest.raises(ValueError):
         MonomialIdeal([mono("x2*x1^-1")])
@@ -239,6 +286,16 @@ def test_ideal_twist_deduplicates():
         "x1^2*x2", "x1*x2^2", "x1*x2*x3", "x1^2*x3", "x1*x3^2",
     }
     assert len(twist) == 5
+
+
+def test_ideal_twist_holds_the_section_objects(h4_points):
+    # The slices share V[6]'s own objects, so unions and differences of
+    # them match members by identity.
+    for n in (3, 4):
+        ids = set(map(id, invariant_sections(n, 6)))
+        for I in [*HAND_IDEALS, *(p.ideal for p in h4_points[::40])]:
+            if I.nvars == n + 1:
+                assert set(map(id, ideal_twist(I, 6))) <= ids, I
 
 
 def test_ideal_twist_single_generator():
