@@ -190,6 +190,23 @@ def test_fixed_points_dumps_are_byte_identical(capsys):
         assert run(args, capsys) == run(args, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("fixed-points --json", "cc903ec25d12aa785a05acdddb46245ed7cbe6fea5bad3f8e1144134a6467204"),
+        ("fixed-points", "f6ef7ed0e50fd1c18444ccb590f3c836abbc15180c5d09b5ad4413e2f723634d"),
+        ("fixed-points --h3-only --json",
+         "9fd42fe5e0f1a9101f75a314ef6b36f4d230350b7fb43b9a18227ab18dce8e4d"),
+        ("fixed-points --h3-only", "15eb8725cc8bd63d34b68676f034eb6a1ed6c6c78a4827d817432e7c60300acd"),
+    ],
+)
+def test_fixed_points_dump_bytes_are_pinned(argv, digest, h3_points, h4_points, capsys):
+    with prebuilt(h3_points, h4_points):
+        code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fixed_points_json_round_trip_recomputes_count(capsys):
     code, out, _ = run(["fixed-points", "--json"], capsys)
     assert code == 0
