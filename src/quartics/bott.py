@@ -14,8 +14,8 @@ of the degree-6 bundle equals the sum over fixed points of
 
 evaluated here in exact big-integer rational arithmetic.  No floating
 point appears anywhere: products of 13 weights of size up to 10^4
-overflow 64-bit integers.  Each point lists its characters once
-(`FixedPoint.fiber_characters`, `FixedPoint.tangent_characters`); a sum
+overflow 64-bit integers.  Each point holds its fiber and tangent
+characters as tuples, each character repeated by its multiplicity; a sum
 specializes each distinct character once, and adds the 504 terms over
 one common denominator, the lcm L of the tangent products:
 sum n_p / d_p = (sum n_p * (L / d_p)) / L, with a single gcd at the end.
@@ -79,7 +79,7 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
 
 def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
     """The distinct tangent characters of the points; usability depends on these alone."""
-    return set().union(*(p.tangent_characters for p in points))
+    return set().union(*(p.tangent for p in points))
 
 
 def find_zero_weight(
@@ -90,7 +90,7 @@ def find_zero_weight(
     if all(weight_of(m, w) for m in _tangent_characters(points)):
         return None
     return next(
-        (p, m) for p in points for m in p.tangent_characters if not weight_of(m, w)
+        (p, m) for p in points for m in p.tangent if not weight_of(m, w)
     )
 
 
@@ -148,12 +148,12 @@ def bott_sum(
     denominators: list[int] = []
     labels: list[str] = []
     for point in points:
-        denominator = math.prod(map(weight, point.tangent_characters))
+        denominator = math.prod(map(weight, point.tangent))
         if denominator == 0:
             raise ZeroDivisionError(
                 f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
             )
-        numerators.append(math.prod(map(weight, point.fiber_characters)))
+        numerators.append(math.prod(map(weight, point.fiber)))
         denominators.append(denominator)
         if keep_terms:
             labels.append(point.label)

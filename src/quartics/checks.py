@@ -50,27 +50,28 @@ def run_checks(
         f"{len(h3)} points, {len(h4)} after hyperplane assembly",
     )
 
-    dims3 = {p.tangent.dimension for p in h3}
-    dims4 = {p.tangent.dimension for p in h4}
+    dims3 = {len(p.tangent) for p in h3}
+    dims4 = {len(p.tangent) for p in h4}
     check(
         "tangent-dimensions",
         dims3 == {10} and dims4 == {13},
         f"tangent sums {sorted(dims3)} on 126 points, {sorted(dims4)} on 504",
     )
 
-    ranks = {p.fiber.dimension for p in h4}
+    ranks = {len(p.fiber) for p in h4}
     check(
         "fiber-ranks",
         ranks == {13},
         f"degree-6 fiber sums {sorted(ranks)} on all 504 points",
     )
 
+    # The build rejects a negative multiplicity, so only a trivial
+    # character can be wrong here.
     bad_character = next(
-        (f"{kind} character {m} with multiplicity {k} at {p.label}"
+        (f"tangent character {m} with multiplicity {p.tangent.count(m)} at {p.label}"
          for p in h3 + h4
-         for kind, rep in (("tangent", p.tangent), ("fiber", p.fiber))
-         for m, k in rep.items()
-         if k < 1 or kind == "tangent" and m.is_trivial()),
+         for m in p.tangent
+         if m.is_trivial()),
         "",
     )
     check(

@@ -26,6 +26,7 @@ from typing import Sequence
 from . import bott, fixedpoints
 from .checks import CheckResult, run_checks
 from .fixedpoints import FixedPoint, census
+from .repring import LaurentMonomial
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -92,6 +93,12 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _render(characters: Sequence[LaurentMonomial]) -> str:
+    """A character tuple as a sum, with multiplicities as coefficients."""
+    terms = fixedpoints.multiplicities(characters)
+    return " + ".join(str(m) if k == 1 else f"{k}*{m}" for m, k in terms)
+
+
 def cmd_fixed_points(args) -> int:
     """Dump the fixed points in canonical order."""
     points = fixedpoints.enumerate_h3()
@@ -111,8 +118,8 @@ def cmd_fixed_points(args) -> int:
             where = "" if point.hyperplane is None else f" (hyperplane {point.hyperplane})"
             print(f"[{index}] {point.stage}{where}")
             print(f"  ideal:   {', '.join(str(g) for g in point.ideal.generators)}")
-            print(f"  tangent: {point.tangent}")
-            print(f"  fiber:   {point.fiber}")
+            print(f"  tangent: {_render(point.tangent)}")
+            print(f"  fiber:   {_render(point.fiber)}")
     return EXIT_OK
 
 

@@ -37,8 +37,7 @@ recomputes every blown-up ideal from first principles as a flat limit.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, filterfalse, groupby, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .repring import (
@@ -47,7 +46,6 @@ from .repring import (
     RepElement,
     ideal_twist,
     invariant_sections,
-    section_map,
 )
 
 STAGE_GRASSMANNIAN = "grassmannian"
@@ -72,33 +70,22 @@ PERM_H: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-class _FixedPointFields(NamedTuple):
-    stage: str
-    ideal: MonomialIdeal
-    tangent: RepElement
-    fiber: RepElement
-    hyperplane: int | None = None
+class FixedPoint(NamedTuple):
+    """A torus-fixed point with its ideal and the characters of its tangent
+    space and of its fiber.
 
-
-class FixedPoint(_FixedPointFields):
-    """A torus-fixed point with its ideal, tangent and fiber data.
-
-    `hyperplane` is None for points of the P(2,1,1,1) component and the
-    index i of the invariant hyperplane {x_i = 0} after assembly into
-    P(2,1,1,1,1).  The `*_characters` properties are cached on first use
-    in the instance dict, which this subclass of the field tuple adds; they
-    are not fields, so equality, hashing, repr and the dump ignore them.
+    `tangent` and `fiber` hold each character repeated by its multiplicity,
+    in canonical (descending) order: the lists whose weight products make
+    the point's Bott term.  `hyperplane` is None for points of the
+    P(2,1,1,1) component and the index i of the invariant hyperplane
+    {x_i = 0} after assembly into P(2,1,1,1,1).
     """
 
-    @cached_property
-    def fiber_characters(self) -> tuple[LaurentMonomial, ...]:
-        """`fiber.characters()`, computed once per point for the Bott sum."""
-        return self.fiber.characters()
-
-    @cached_property
-    def tangent_characters(self) -> tuple[LaurentMonomial, ...]:
-        """`tangent.characters()`, computed once per point for the Bott sum."""
-        return self.tangent.characters()
+    stage: str
+    ideal: MonomialIdeal
+    tangent: tuple[LaurentMonomial, ...]
+    fiber: tuple[LaurentMonomial, ...]
+    hyperplane: int | None = None
 
     @property
     def label(self) -> str:
@@ -159,7 +146,7 @@ def grassmann_fixed_points() -> list[FixedPoint]:
                 FixedPoint(
                     stage=STAGE_GRASSMANNIAN,
                     ideal=ideal,
-                    tangent=grassmann_tangent(ideal),
+                    tangent=grassmann_tangent(ideal).characters(),
                     fiber=fiber_rep(ideal),
                 )
             )
@@ -261,24 +248,32 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     """
     points = []
     for mu in center.normal_basis:
-        new_gen = center.lcm_base * mu
-        if not new_gen.is_regular():
+        ideal = _blowup_ideal(center, mu)
+        if ideal is None:
             raise ValueError(
                 f"inconsistent center data: {center.lcm_base} * {mu} has a "
                 f"negative exponent"
             )
-        ideal = MonomialIdeal(center.base_ideal.generators + (new_gen,))
         if ideal.has_common_factor():
             continue
         points.append(
             FixedPoint(
                 stage=center.stage,
                 ideal=ideal,
-                tangent=blowup_point_tangent(center, mu),
+                tangent=blowup_point_tangent(center, mu).characters(),
                 fiber=fiber_rep(ideal),
             )
         )
     return points
+
+
+def _blowup_ideal(center: BlowupCenterDatum, mu: LaurentMonomial) -> MonomialIdeal | None:
+    """The closed-form ideal of the candidate in direction mu: the base ideal
+    and lcm_base * mu, or None when that generator has a negative exponent."""
+    new_gen = center.lcm_base * mu
+    if not new_gen.is_regular():
+        return None
+    return MonomialIdeal(center.base_ideal.generators + (new_gen,))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +376,7 @@ def center_oracle_agreement(
     """
     mismatches = []
     for mu in center.normal_basis:
-        new_gen = center.lcm_base * mu
-        closed_form = None
-        if new_gen.is_regular():
-            closed_form = MonomialIdeal(center.base_ideal.generators + (new_gen,))
+        closed_form = _blowup_ideal(center, mu)
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
             mismatches.append((mu, limit, closed_form))
@@ -420,27 +412,24 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     five-character ring.  The remapped generators and x_i make up one
     ideal, reduced once.  The 126 points share most of their characters,
     so each hyperplane remaps each distinct character once, into one map,
-    and each tangent is one dict of carried terms plus the directions.
+    and each tangent is the carried characters and the directions, sorted.
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
     characters = {m for point in h3 for m in chain(point.ideal.generators, point.tangent)}
-    tangents = [point.tangent.items() for point in h3]
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
-        carried = {m: m.remap(PERM_H[i], 5) for m in characters}
-        directions = dict.fromkeys((x_j / x_i for x_j in linear if x_j != x_i), 1)
-        for point, terms in zip(h3, tangents):
-            ideal = MonomialIdeal([*map(carried.__getitem__, point.ideal.generators), x_i])
-            # A carried character has exponent 0 at x_i and a direction has
-            # -1 there, so the two parts of the tangent share no key.
-            tangent = {carried[m]: k for m, k in terms} | directions
+        carried = {m: m.remap(PERM_H[i], 5) for m in characters}.__getitem__
+        directions = [x_j / x_i for x_j in linear if x_j != x_i]
+        for point in h3:
+            ideal = MonomialIdeal([*map(carried, point.ideal.generators), x_i])
+            tangent = sorted(chain(map(carried, point.tangent), directions), reverse=True)
             points.append(
                 FixedPoint(
                     stage=point.stage,
                     ideal=ideal,
-                    tangent=RepElement(tangent),
+                    tangent=tuple(tangent),
                     fiber=fiber_rep(ideal),
                     hyperplane=i,
                 )
@@ -449,14 +438,14 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     return points
 
 
-def fiber_rep(I: MonomialIdeal) -> RepElement:
+def fiber_rep(I: MonomialIdeal) -> tuple[LaurentMonomial, ...]:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
-    Spanned by the invariant degree-6 monomials not lying in the ideal,
-    each with multiplicity 1: the sections that the twist does not hold.
+    The invariant degree-6 monomials not lying in the ideal, the sections
+    that the twist does not hold, in canonical order.
     """
     twist = ideal_twist(I, DEGREE)
-    return RepElement.from_monomials(section_map(I.nvars - 1, DEGREE).keys() - twist)
+    return tuple(filterfalse(twist.__contains__, invariant_sections(I.nvars - 1, DEGREE)))
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:
@@ -490,6 +479,11 @@ def census(points: Iterable[FixedPoint]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def multiplicities(characters: Sequence[LaurentMonomial]) -> list[tuple[LaurentMonomial, int]]:
+    """(character, multiplicity) pairs of a canonical character tuple, in its order."""
+    return [(m, sum(1 for _ in run)) for m, run in groupby(characters)]
+
+
 def fixed_point_record(point: FixedPoint) -> dict:
     """JSON-ready record: ideal and fiber as monomial strings in canonical
     order, tangent as (monomial, multiplicity) pairs."""
@@ -498,7 +492,7 @@ def fixed_point_record(point: FixedPoint) -> dict:
         "hyperplane": point.hyperplane,
         "ideal": [str(g) for g in point.ideal.generators],
         "tangent": [
-            {"monomial": str(m), "multiplicity": k} for m, k in point.tangent.items()
+            {"monomial": str(m), "multiplicity": k} for m, k in multiplicities(point.tangent)
         ],
-        "fiber": [str(m) for m in point.fiber.support()],
+        "fiber": list(map(str, point.fiber)),
     }

@@ -30,7 +30,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, filterfalse
 
 
 class LaurentMonomial(tuple):
@@ -63,7 +63,7 @@ class LaurentMonomial(tuple):
 
     def is_regular(self) -> bool:
         """True when all exponents are >= 0 (an ordinary monomial)."""
-        return all(e >= 0 for e in self)
+        return min(self) >= 0
 
     def is_trivial(self) -> bool:
         """True for the trivial character (all exponents zero)."""
@@ -277,11 +277,9 @@ class MonomialIdeal:
         counts = set(map(len, gens))
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")
-        if gens and min(map(min, gens)) < 0:
-            bad = next(g for g in gens if not g.is_regular())
+        if (bad := next(filterfalse(LaurentMonomial.is_regular, gens), None)) is not None:
             raise ValueError(f"ideal generator has a negative exponent: {bad}")
-        if any(g[0] & 1 for g in gens):
-            bad = next(g for g in gens if not g.is_invariant())
+        if (bad := next(filterfalse(LaurentMonomial.is_invariant, gens), None)) is not None:
             raise ValueError(f"ideal generator is not Gamma-invariant: {bad}")
         # Walking up in degree, a generator is dropped when a kept one
         # divides it.  Only a kept one of lower degree ever does: a divisor
@@ -375,32 +373,17 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def section_map(n: int, k: int) -> dict[LaurentMonomial, LaurentMonomial]:
-    """V[k] as a map from each of its sections to itself.
-
-    Looking a monomial up returns the section object that V[k] holds, so
-    sets built from it share their members with every other such set.
-    """
-    return {m: m for m in invariant_sections(n, k)}
-
-
-@lru_cache(maxsize=None)
 def _multiples(g: LaurentMonomial, k: int) -> frozenset[LaurentMonomial]:
     """The degree-k invariant sections divisible by the invariant monomial g.
 
     A section is divisible by g iff its quotient by g is an invariant
     section of degree k - deg g, so these are g times the sections of
-    that degree; there are none when deg g > k.  The members are V[k]'s
-    own section objects, from `section_map`.
+    that degree; there are none when deg g > k.
     """
     n, d = len(g) - 1, g.degree
     if d > k:
         return frozenset()
-    # A monomial is its exponent tuple, so the plain tuple g*q finds it.
-    sections = section_map(n, k)
-    return frozenset(
-        sections[tuple(map(operator.add, g, q))] for q in invariant_sections(n, k - d)
-    )
+    return frozenset(map(g.__mul__, invariant_sections(n, k - d)))
 
 
 def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:

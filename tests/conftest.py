@@ -6,7 +6,7 @@ from typing import Mapping
 import pytest
 
 from quartics.fixedpoints import FixedPoint, assemble_h4, enumerate_h3
-from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
+from quartics.repring import LaurentMonomial, MonomialIdeal
 
 
 @pytest.fixture(scope="session")
@@ -43,10 +43,11 @@ def fixed_point_from_record(record: Mapping) -> FixedPoint:
     return FixedPoint(
         stage=record["stage"],
         ideal=MonomialIdeal(parse_monomial(t, nvars) for t in record["ideal"]),
-        tangent=RepElement(
-            (parse_monomial(t["monomial"], nvars), t["multiplicity"])
+        tangent=tuple(
+            m
             for t in record["tangent"]
+            for m in [parse_monomial(t["monomial"], nvars)] * t["multiplicity"]
         ),
-        fiber=RepElement.from_monomials(parse_monomial(t, nvars) for t in record["fiber"]),
+        fiber=tuple(parse_monomial(t, nvars) for t in record["fiber"]),
         hyperplane=record["hyperplane"],
     )

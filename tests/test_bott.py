@@ -22,8 +22,8 @@ from quartics.bott import (
     validate_weights,
     weight_of,
 )
-from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN, fixed_point_record
-from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
+from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN
+from quartics.repring import LaurentMonomial, MonomialIdeal
 
 
 def mono(text: str, nvars: int = 5) -> LaurentMonomial:
@@ -72,9 +72,9 @@ def test_validate_weights_agrees_with_the_witness_search(h4_points):
 
 
 def _walk_for_zero_weight(points, w):
-    """The witness search over `tangent.items()` rather than the cached characters."""
+    """The witness search over every point, without the distinct-character test first."""
     for point in points:
-        for monomial, _ in point.tangent.items():
+        for monomial in point.tangent:
             if weight_of(monomial, w) == 0:
                 return point, monomial
     return None
@@ -139,7 +139,7 @@ def test_random_weight_search_exhaustion(h4_points, monkeypatch):
 
 
 def test_min_range_width_is_the_narrowest_usable_range(h4_points):
-    characters = {tuple(m) for p in h4_points for m, _ in p.tangent.items()}
+    characters = {tuple(m) for p in h4_points for m in p.tangent}
     # Degree 0 makes usability invariant under shifting the range, so
     # ranges starting at 1 stand for all ranges of their width.
     assert all(sum(c) == 0 for c in characters)
@@ -159,7 +159,12 @@ def test_min_range_width_is_the_narrowest_usable_range(h4_points):
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_point(tangent: RepElement, fiber: RepElement | None = None) -> FixedPoint:
+def characters(*terms: tuple[str, int]) -> tuple[LaurentMonomial, ...]:
+    """Each monomial repeated by its multiplicity."""
+    return tuple(mono(text) for text, k in terms for _ in range(k))
+
+
+def _synthetic_point(tangent, fiber=None) -> FixedPoint:
     return FixedPoint(
         stage=STAGE_GRASSMANNIAN,
         ideal=MonomialIdeal([mono("x0^2"), mono("x1^2")]),
@@ -169,39 +174,27 @@ def _synthetic_point(tangent: RepElement, fiber: RepElement | None = None) -> Fi
 
 
 def test_bott_sum_fiber_equals_tangent():
-    rep = RepElement([(mono("x2*x1^-1"), 2), (mono("x0^2*x3^-1*x4^-1"), 1)])
-    result = bott_sum([_synthetic_point(rep)], DEFAULT_WEIGHTS)
+    tangent = characters(("x2*x1^-1", 2), ("x0^2*x3^-1*x4^-1", 1))
+    result = bott_sum([_synthetic_point(tangent)], DEFAULT_WEIGHTS)
     assert result.value == Fraction(1)
 
 
 def test_bott_sum_zero_denominator_raises():
-    point = _synthetic_point(RepElement([(mono("x2*x1^-1"), 1)]))
+    point = _synthetic_point(characters(("x2*x1^-1", 1)))
     with pytest.raises(ZeroDivisionError, match=re.escape(point.label)):
         bott_sum([point], (1, 1, 1, 1, 1))
 
 
-def test_bott_sum_rejects_negative_multiplicity():
-    rep = RepElement([(mono("x2*x1^-1"), 2), (mono("x0^2*x3^-1*x4^-1"), -1)])
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        bott_sum([_synthetic_point(rep)], DEFAULT_WEIGHTS)
-
-
-def _numerator(fiber: RepElement, w) -> Fraction:
+def _numerator(fiber, w) -> Fraction:
     """The Bott sum of one point with an empty tangent: its fiber weight product."""
-    return bott_sum([_synthetic_point(RepElement(), fiber)], w).value
+    return bott_sum([_synthetic_point((), fiber)], w).value
 
 
 def test_prod_weights_examples():
-    squared = RepElement([(mono("x2*x1^-1"), 2)])
-    assert _numerator(squared, DEFAULT_WEIGHTS) == 169
-    assert _numerator(RepElement(), DEFAULT_WEIGHTS) == 1
-    with_trivial = RepElement([(mono("1"), 1), (mono("x2"), 1)])
+    assert _numerator(characters(("x2*x1^-1", 2)), DEFAULT_WEIGHTS) == 169
+    assert _numerator((), DEFAULT_WEIGHTS) == 1
+    with_trivial = characters(("1", 1), ("x2", 1))
     assert _numerator(with_trivial, DEFAULT_WEIGHTS) == 0
-
-
-def test_prod_weights_rejects_negative_multiplicity():
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        _numerator(RepElement([(mono("x2"), -1)]), DEFAULT_WEIGHTS)
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,8 +215,8 @@ def test_prod_weights_rejects_negative_multiplicity():
     ),
 )
 def test_bott_sum_numerator_is_multiplicative(terms1, terms2):
-    r1 = RepElement((LaurentMonomial(e), k) for e, k in terms1)
-    r2 = RepElement((LaurentMonomial(e), k) for e, k in terms2)
+    r1 = tuple(LaurentMonomial(e) for e, k in terms1 for _ in range(k))
+    r2 = tuple(LaurentMonomial(e) for e, k in terms2 for _ in range(k))
     w = (7, 3, -2, 5, 11)
     assert _numerator(r1 + r2, w) == _numerator(r1, w) * _numerator(r2, w)
 
@@ -232,8 +225,8 @@ def _oracle_bott_sum(points, w):
     """The sum as one `Fraction` per point, weights raised to their multiplicities,
     added one by one."""
 
-    def product(r: RepElement) -> int:
-        return math.prod(weight_of(m, w) ** k for m, k in r.items())
+    def product(characters) -> int:
+        return math.prod(weight_of(m, w) ** k for m, k in Counter(characters).items())
 
     total = Fraction(0)
     terms = []
@@ -275,28 +268,3 @@ def test_bott_sum_weight_independent(h4_points):
     for seed in (11, 12, 13):
         weights, _ = random_weight_search(seed, 1, 10_000, h4_points)
         assert bott_sum(h4_points, weights).value == Fraction(6028452)
-
-
-# ---------------------------------------------------------------------------
-#  The characters each point caches for the sum
-# ---------------------------------------------------------------------------
-
-
-def test_cached_characters_repeat_each_term_by_its_multiplicity(h4_points):
-    for point in h4_points:
-        assert Counter(point.fiber_characters) == dict(point.fiber.items())
-        assert Counter(point.tangent_characters) == dict(point.tangent.items())
-        assert list(point.tangent_characters) == sorted(point.tangent_characters, reverse=True)
-
-
-def test_cached_characters_are_not_part_of_the_point(h4_points):
-    names = list(FixedPoint._fields)
-    assert names == ["stage", "ideal", "tangent", "fiber", "hyperplane"]
-    for point in h4_points[::50]:
-        fresh = FixedPoint(point.stage, point.ideal, point.tangent, point.fiber, point.hyperplane)
-        compiled = (point.fiber_characters, point.tangent_characters)
-        assert "tangent_characters" not in vars(fresh)
-        assert (fresh, hash(fresh), repr(fresh)) == (point, hash(point), repr(point))
-        assert fixed_point_record(fresh) == fixed_point_record(point)
-        assert (fresh.fiber_characters, fresh.tangent_characters) == compiled
-    assert list(FixedPoint._fields) == names

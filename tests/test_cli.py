@@ -338,20 +338,15 @@ def test_verify_detects_mutated_stage2_center_tangent(
     assert "(x1^2, x1*x2, x1*x3^2)" in tables["detail"]
 
 
-@pytest.mark.parametrize("kind", ["tangent", "fiber"])
-def test_verify_names_the_first_bad_character(kind, h3_points, h4_points):
-    # One h3 point gains a trivial tangent character in place of one of its
-    # own, or a fiber character of multiplicity -1.  Dimensions, ranks and
-    # the h4 points are untouched, so only tangent-characters fails, and its
-    # detail names the point and the character.
+@pytest.mark.parametrize("copies", [1, 2], ids=["tangent", "repeated"])
+def test_verify_names_the_first_bad_character(copies, h3_points, h4_points):
+    # One h3 point gains the trivial tangent character in place of `copies`
+    # of its own.  Dimensions, ranks and the h4 points are untouched, so
+    # only tangent-characters fails, and its detail names the point, the
+    # character and its multiplicity.
     point = h3_points[5]
-    if kind == "tangent":
-        tangent = point.tangent - lines(str(point.tangent.support()[0])) + lines("1")
-        bad = point._replace(tangent=tangent)
-        expected = f"tangent character 1 with multiplicity 1 at {point.label}"
-    else:
-        bad = point._replace(fiber=point.fiber - lines("x0^2"))
-        expected = f"fiber character x0^2 with multiplicity -1 at {point.label}"
+    bad = point._replace(tangent=point.tangent[copies:] + (mono("1"),) * copies)
+    expected = f"tangent character 1 with multiplicity {copies} at {point.label}"
     mutated = [bad if p is point else p for p in h3_points]
     with prebuilt(mutated, h4_points):
         results = checks.run_checks()
@@ -413,6 +408,17 @@ def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
     assert code == 1
     [result] = json.loads(out)
     assert not result["ok"] and "125" in result["detail"]
+    # So is a blow-up tangent with a negative multiplicity: it has no list
+    # of characters for the point to hold.
+    tangent = fixedpoints.blowup_point_tangent
+    with mock.patch.object(
+        fixedpoints, "blowup_point_tangent", lambda c, mu: tangent(c, mu) - lines("x0^2")
+    ):
+        code, out, _ = run(["verify", "--json"], capsys)
+    assert code == 1
+    [result] = json.loads(out)
+    assert (result["name"], result["ok"]) == ("build", False)
+    assert "negative multiplicity" in result["detail"]
 
 
 # ---------------------------------------------------------------------------
