@@ -198,6 +198,8 @@ def test_fixed_points_dumps_are_byte_identical(capsys):
         ("fixed-points --h3-only --json",
          "9fd42fe5e0f1a9101f75a314ef6b36f4d230350b7fb43b9a18227ab18dce8e4d"),
         ("fixed-points --h3-only", "15eb8725cc8bd63d34b68676f034eb6a1ed6c6c78a4827d817432e7c60300acd"),
+        ("verify --json --seed 3", "12f15e3c5593f26d869d4793b314fc4717cdaae5bc67256737eca186842068d0"),
+        ("verify", "8aab855e1b024567ed64a67402f58cbcf8217eeeb76dd9fa28137f2c2db0ff02"),
     ],
 )
 def test_fixed_points_dump_bytes_are_pinned(argv, digest, h3_points, h4_points, capsys):
