@@ -9,8 +9,8 @@ in exact rational arithmetic.  The resulting count is 6028452.
 Modules
 -------
 repring
-    Laurent-monomial representation-ring arithmetic, invariant section
-    spaces, ideal twists.
+    Torus characters as Laurent monomials, monomial ideals, invariant
+    section spaces, ideal twists.
 fixedpoints
     Fixed-point enumeration: Grassmannian stage, two blow-up stages,
     flat-limit ideals, assembly over the dual projective space.

@@ -90,19 +90,23 @@ def run_checks(
     ):
         bad = []
         for c in centers:
-            normal = ambient(c.base_ideal) - c.tangent_to_center
-            lines = normal.items()
-            if normal != c.normal_basis or len(lines) != 6 or any(
-                k != 1 or m.degree for m, k in lines
-            ):
-                bad.append(c.base_ideal)
+            normal = ambient(c.base_ideal)
+            normal.subtract(c.tangent_to_center)  # keeps what `-` would drop
+            stored = c.normal_basis
+            off = next((m for m in sorted(normal.keys() | stored.keys(), reverse=True)
+                        if (normal[m], stored[m]) not in ((0, 0), (1, 1))), None)
+            if off is not None:
+                bad.append(f"{c.base_ideal}: {off} has multiplicity {normal[off]} in "
+                           f"{source} minus the center tangent, {stored[off]} stored")
+            elif stored.total() != 6 or any(m.degree for m in stored if stored[m]):
+                bad.append(f"{c.base_ideal}: not 6 degree-0 characters")
         check(
             name,
             not bad,
             f"{source} minus the center tangent is the stored normal space, "
             f"6 distinct degree-0 characters, at {len(centers)} centers"
             if not bad
-            else f"mismatch at {bad}",
+            else f"mismatch at {'; '.join(bad)}",
         )
 
     mismatches = []

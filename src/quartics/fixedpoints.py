@@ -37,16 +37,11 @@ recomputes every blown-up ideal from first principles as a flat limit.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations, filterfalse, groupby, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
-from .repring import (
-    LaurentMonomial,
-    MonomialIdeal,
-    RepElement,
-    ideal_twist,
-    invariant_sections,
-)
+from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections
 
 STAGE_GRASSMANNIAN = "grassmannian"
 STAGE_BLOWUP1 = "blowup1"
@@ -112,8 +107,8 @@ class BlowupCenterDatum(NamedTuple):
     """
 
     base_ideal: MonomialIdeal
-    tangent_to_center: RepElement
-    normal_basis: RepElement
+    tangent_to_center: Counter[LaurentMonomial]
+    normal_basis: Counter[LaurentMonomial]
     lcm_base: LaurentMonomial
     stage: str
 
@@ -123,12 +118,28 @@ class BlowupCenterDatum(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def grassmann_tangent(span: MonomialIdeal) -> RepElement:
+def grassmann_tangent(span: MonomialIdeal) -> Counter[LaurentMonomial]:
     """Tangent to the Grassmannian of V[d] at the span S of the generators,
-    all of degree d: Hom(S, V[d]/S) = (V[d] - S) * dual(S)."""
-    gens = RepElement.from_monomials(span.generators)
-    sections = invariant_sections(span.nvars - 1, span.generators[0].degree)
-    return (RepElement.from_monomials(sections) - gens) * gens.dual()
+    all of degree d: Hom(S, V[d]/S), one character q/g per section q
+    outside S and generator g."""
+    gens = span.generators
+    sections = invariant_sections(span.nvars - 1, gens[0].degree)
+    return Counter(q / g for q in sections if q not in gens for g in gens)
+
+
+def _difference(
+    a: Counter[LaurentMonomial], b: Counter[LaurentMonomial]
+) -> Counter[LaurentMonomial]:
+    """a - b, rejecting the negative multiplicity that Counter `-` would drop."""
+    if not b <= a:
+        m = next(m for m in sorted(a.keys() | b.keys(), reverse=True) if b[m] > a[m])
+        raise ValueError(f"negative multiplicity at {m}: {a[m] - b[m]}")
+    return a - b
+
+
+def _characters(rep: Counter[LaurentMonomial]) -> tuple[LaurentMonomial, ...]:
+    """Each character repeated by its multiplicity, in canonical order."""
+    return tuple(sorted(rep.elements(), reverse=True))
 
 
 def grassmann_fixed_points() -> list[FixedPoint]:
@@ -146,7 +157,7 @@ def grassmann_fixed_points() -> list[FixedPoint]:
                 FixedPoint(
                     stage=STAGE_GRASSMANNIAN,
                     ideal=ideal,
-                    tangent=grassmann_tangent(ideal).characters(),
+                    tangent=_characters(grassmann_tangent(ideal)),
                     fiber=fiber_rep(ideal),
                 )
             )
@@ -168,10 +179,11 @@ def stage1_centers() -> list[BlowupCenterDatum]:
     the rest of the Grassmannian tangent Hom(l*W, V[2]/l*W).
 
     >>> center = next(c for c in stage1_centers() if str(c.base_ideal) == "(x1*x2, x1*x3)")
-    >>> print(center.tangent_to_center)
-    x1*x3^-1 + x1*x2^-1 + x1^-1*x2 + x1^-1*x3
-    >>> print(center.normal_basis)
-    x0^2*x1^-1*x3^-1 + x0^2*x1^-1*x2^-1 + x1^-1*x2^2*x3^-1 + x1^-1*x2 + x1^-1*x3 + x1^-1*x2^-1*x3^2
+    >>> [str(m) for m in _characters(center.tangent_to_center)]
+    ['x1*x3^-1', 'x1*x2^-1', 'x1^-1*x2', 'x1^-1*x3']
+    >>> [str(m) for m in _characters(center.normal_basis)]  # doctest: +NORMALIZE_WHITESPACE
+    ['x0^2*x1^-1*x3^-1', 'x0^2*x1^-1*x2^-1', 'x1^-1*x2^2*x3^-1',
+     'x1^-1*x2', 'x1^-1*x3', 'x1^-1*x2^-1*x3^2']
     """
     linear = invariant_sections(3, 1)
     return [_stage1_center(ell, pair) for ell, pair in product(linear, combinations(linear, 2))]
@@ -183,7 +195,7 @@ def _stage1_center(ell: LaurentMonomial, pencil: Sequence[LaurentMonomial]) -> B
     line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
     tangent = grassmann_tangent(line) + grassmann_tangent(span)
     lcm = base.generators[0].lcm(base.generators[1])
-    normal = grassmann_tangent(base) - tangent
+    normal = _difference(grassmann_tangent(base), tangent)
     return BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1)
 
 
@@ -196,8 +208,8 @@ def stage2_centers() -> list[BlowupCenterDatum]:
     tangent is the blow-up tangent over the stage-1 center l*W along q/(l*w).
 
     >>> center = next(c for c in stage2_centers() if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
-    >>> print(center.tangent_to_center)
-    x0^2*x3^-2 + x2^-1*x3 + x1^-1*x2 + x1^-1*x3
+    >>> [str(m) for m in _characters(center.tangent_to_center)]
+    ['x0^2*x3^-2', 'x2^-1*x3', 'x1^-1*x2', 'x1^-1*x3']
     >>> print(center.lcm_base)
     x1*x2*x3^2
     """
@@ -209,8 +221,8 @@ def stage2_centers() -> list[BlowupCenterDatum]:
         for q in on_line:
             base = MonomialIdeal([ell * ell, ell * w, ell * q])
             lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
-            tangent = grassmann_tangent(MonomialIdeal([ell])) + RepElement.from_monomials(lines)
-            normal = blowup_point_tangent(parent, q / (ell * w)) - tangent
+            tangent = grassmann_tangent(MonomialIdeal([ell])) + Counter(lines)
+            normal = _difference(blowup_point_tangent(parent, q / (ell * w)), tangent)
             centers.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
     return centers
 
@@ -222,7 +234,7 @@ def stage2_centers() -> list[BlowupCenterDatum]:
 
 def blowup_point_tangent(
     center: BlowupCenterDatum, direction: LaurentMonomial
-) -> RepElement:
+) -> Counter[LaurentMonomial]:
     """Tangent space at the fixed point of the exceptional divisor.
 
     Composes the center's tangent space, the normal line along
@@ -235,7 +247,7 @@ def blowup_point_tangent(
     lines.extend(
         eta / direction for eta in center.normal_basis if eta != direction
     )
-    return center.tangent_to_center + RepElement.from_monomials(lines)
+    return center.tangent_to_center + Counter(lines)
 
 
 def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
@@ -247,7 +259,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     from this stage's output.
     """
     points = []
-    for mu in center.normal_basis:
+    for mu in sorted(center.normal_basis, reverse=True):
         ideal = _blowup_ideal(center, mu)
         if ideal is None:
             raise ValueError(
@@ -260,7 +272,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
             FixedPoint(
                 stage=center.stage,
                 ideal=ideal,
-                tangent=blowup_point_tangent(center, mu).characters(),
+                tangent=_characters(blowup_point_tangent(center, mu)),
                 fiber=fiber_rep(ideal),
             )
         )
@@ -340,7 +352,7 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
 
 def stage2_composed_tangent(
     base: MonomialIdeal, stage1: Sequence[BlowupCenterDatum]
-) -> RepElement:
+) -> Counter[LaurentMonomial]:
     """Ambient tangent at the second-stage center with base ideal `base`.
 
     A second-stage center point sits on the exceptional divisor of the
@@ -375,7 +387,7 @@ def center_oracle_agreement(
     lcm_base * mu has a negative exponent.
     """
     mismatches = []
-    for mu in center.normal_basis:
+    for mu in sorted(center.normal_basis, reverse=True):
         closed_form = _blowup_ideal(center, mu)
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:

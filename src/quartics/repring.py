@@ -1,14 +1,15 @@
-"""Exact arithmetic in the representation ring of a diagonal torus.
+"""Characters of a diagonal torus, monomial ideals and invariant sections.
 
 A diagonal torus T = (C*)^(n+1) acts on homogeneous coordinates x0..xn.
 Its characters are Laurent monomials in the coordinate characters
 lambda_0..lambda_n; a character is its integer exponent vector
 (`LaurentMonomial`, a tuple of exponents).  A finite-dimensional
 T-representation splits into one-dimensional character spaces, so it is
-faithfully described by a finite formal integer combination of Laurent
-monomials (`RepElement`).
-Differences of representations are meaningful intermediate values, hence
-multiplicities may be negative.
+a multiset of characters: a `collections.Counter` of Laurent monomials.
+Sums are Counter `+`.  Only a difference can go negative: the normal
+spaces taken out of ambient tangent spaces go through one guard in
+`fixedpoints` that rejects a negative multiplicity, which Counter `-`
+would silently drop.
 
 The ambient geometry is the weighted projective space P(2,1,...,1),
 realized as the quotient of ordinary projective n-space by the order-two
@@ -27,10 +28,9 @@ values are immutable and all operations are pure.
 from __future__ import annotations
 
 import operator
-from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
-from itertools import chain, filterfalse
+from itertools import filterfalse
 
 
 class LaurentMonomial(tuple):
@@ -125,134 +125,6 @@ class LaurentMonomial(tuple):
 
     def __repr__(self) -> str:
         return f"LaurentMonomial('{self}')"
-
-
-class RepElement:
-    """An element of the representation ring: monomial -> multiplicity.
-
-    Stores only nonzero multiplicities.  Supports ring arithmetic (+, -, *)
-    and dualization (inverting every character).  The empty element is the
-    zero of the ring and is compatible with any character count.
-
-    >>> a = RepElement({LaurentMonomial((0, 1, -1, 0)): 1})
-    >>> (a + a).dimension
-    2
-    >>> (a - a) == RepElement()
-    True
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(
-        self,
-        terms: Mapping[LaurentMonomial, int] | Iterable[tuple[LaurentMonomial, int]] = (),
-    ):
-        # A mapping has one multiplicity per monomial already; pairs from
-        # ring operations accumulate.  The character count is checked before
-        # zeros are dropped, so a cancelled term still counts.
-        if isinstance(terms, Mapping):
-            acc = dict(zip(terms, map(operator.index, terms.values())))
-        else:
-            acc = {}
-            for monomial, mult in terms:
-                acc[monomial] = acc.get(monomial, 0) + operator.index(mult)
-        counts = set(map(len, acc))
-        if len(counts) > 1:
-            raise ValueError(f"mismatched character counts: {sorted(counts)}")
-        if 0 in acc.values():
-            acc = {m: k for m, k in acc.items() if k}
-        object.__setattr__(self, "_terms", acc)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RepElement is immutable")
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[LaurentMonomial]) -> "RepElement":
-        """Sum of the given monomials, each occurrence with multiplicity 1."""
-        return cls(Counter(monomials))
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def dimension(self) -> int:
-        """Total multiplicity (virtual dimension; may be negative)."""
-        return sum(self._terms.values())
-
-    def __contains__(self, monomial: LaurentMonomial) -> bool:
-        return monomial in self._terms
-
-    def items(self) -> list[tuple[LaurentMonomial, int]]:
-        """Terms in canonical order: descending lexicographic on exponents."""
-        # Fixed once, for deterministic serialization and test comparison.
-        return sorted(self._terms.items(), reverse=True)
-
-    def support(self) -> list[LaurentMonomial]:
-        """Monomials with nonzero multiplicity, in canonical order."""
-        return sorted(self._terms, reverse=True)
-
-    def characters(self) -> tuple[LaurentMonomial, ...]:
-        """Each monomial repeated by its multiplicity, in canonical order.
-
-        Only an actual representation has such a list: a negative
-        multiplicity raises ValueError.
-        """
-        items = self.items()
-        for monomial, mult in items:
-            if mult < 0:
-                raise ValueError(f"negative multiplicity at {monomial}: {mult}")
-        return tuple(m for m, k in items for _ in range(k))
-
-    def __iter__(self) -> Iterator[LaurentMonomial]:
-        return iter(self.support())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "RepElement") -> "RepElement":
-        return RepElement(chain(self._terms.items(), other._terms.items()))
-
-    def __sub__(self, other: "RepElement") -> "RepElement":
-        return RepElement(
-            chain(self._terms.items(), ((m, -k) for m, k in other._terms.items()))
-        )
-
-    def __mul__(self, other: "RepElement") -> "RepElement":
-        return RepElement(
-            (m1 * m2, k1 * k2)
-            for m1, k1 in self._terms.items()
-            for m2, k2 in other._terms.items()
-        )
-
-    def dual(self) -> "RepElement":
-        """Invert every character; multiplicities are preserved."""
-        return RepElement((LaurentMonomial(-e for e in m), k) for m, k in self._terms.items())
-
-    # -- identity and rendering ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RepElement) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for monomial, mult in self.items():
-            body = str(monomial)
-            if abs(mult) != 1:
-                body = f"{abs(mult)}*{body}"
-            if not parts:
-                parts.append(body if mult > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if mult > 0 else '-'} {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"RepElement({self})"
 
 
 class MonomialIdeal:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,7 @@ from quartics.fixedpoints import (
     stage2_centers,
     stage2_composed_tangent,
 )
-from quartics.repring import LaurentMonomial, MonomialIdeal, RepElement
+from quartics.repring import LaurentMonomial, MonomialIdeal
 
 
 def run(args: list[str], capsys) -> tuple[int, str, str]:
@@ -246,8 +247,8 @@ def mono(text: str) -> LaurentMonomial:
     return parse_monomial(text, 4)
 
 
-def lines(*texts: str) -> RepElement:
-    return RepElement.from_monomials(mono(t) for t in texts)
+def lines(*texts: str) -> Counter[LaurentMonomial]:
+    return Counter(map(mono, texts))
 
 
 def pencil_center(centers: list[BlowupCenterDatum]) -> BlowupCenterDatum:
@@ -280,29 +281,37 @@ def test_verify_detects_mutated_center_table(h3_points, h4_points, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ell, pencil", [("x2", ("x1", "x3")), ("x1", ("x1", "x2"))], ids=["wrong-l", "wrong-W"]
+    "ell, pencil, named",
+    [("x2", ("x1", "x3"), "x2*x3^-1"), ("x1", ("x1", "x2"), "x2^-1*x3")],
+    ids=["wrong-l", "wrong-W"],
 )
 def test_verify_detects_center_built_from_a_wrong_pencil(
-    ell, pencil, h3_points, h4_points, monkeypatch
+    ell, pencil, named, h3_points, h4_points, monkeypatch
 ):
     # The center (x1*x2, x1*x3) is the pencil l*W with l = x1, W = <x2, x3>.
     # Deriving its tangent Hom(l, V[1]/l) + Hom(W, V[1]/W) from another
     # pair leaves a multiplicity of -1 or 2 in Hom(I, V[2]/I) minus that
-    # tangent.  The flat-limit oracle does not notice; stage1-tables does.
+    # tangent.  The flat-limit oracle does not notice; stage1-tables does,
+    # and names the first character of multiplicity -1 with both values.
     centers = stage1_centers()
     real = pencil_center(centers)
     tangent = grassmann_tangent(MonomialIdeal([mono(ell)])) + grassmann_tangent(
         MonomialIdeal(map(mono, pencil))
     )
-    normal = grassmann_tangent(real.base_ideal) - tangent
-    assert {k for _, k in normal.items()} & {-1, 2}
+    # `subtract` keeps the -1 that Counter `-` would drop.
+    normal = grassmann_tangent(real.base_ideal)
+    normal.subtract(tangent)
+    assert set(normal.values()) & {-1, 2}
     wrong = BlowupCenterDatum(real.base_ideal, tangent, normal, real.lcm_base, real.stage)
     rest = [c for c in centers if c is not real]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [wrong] + rest)
         results = {r.name: r for r in cli.run_checks()}
     assert not results["stage1-tables"].ok
-    assert "(x1*x2, x1*x3)" in results["stage1-tables"].detail
+    assert results["stage1-tables"].detail == (
+        f"mismatch at (x1*x2, x1*x3): {named} has multiplicity -1 in Hom(I, V[2]/I) "
+        "minus the center tangent, -1 stored"
+    )
     assert results["flat-limit-oracle"].ok
 
 
@@ -324,10 +333,9 @@ def test_verify_detects_mutated_stage2_center_tangent(
     centers = stage2_centers()
     real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
     tangent = real.tangent_to_center - lines(old) + lines(new)
-    ambient = stage2_composed_tangent(real.base_ideal, stage1_centers())
-    mutated = BlowupCenterDatum(
-        real.base_ideal, tangent, ambient - tangent, real.lcm_base, real.stage
-    )
+    normal = stage2_composed_tangent(real.base_ideal, stage1_centers())
+    normal.subtract(tangent)
+    mutated = BlowupCenterDatum(real.base_ideal, tangent, normal, real.lcm_base, real.stage)
     rest = [c for c in centers if c is not real]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
@@ -410,11 +418,14 @@ def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
     assert code == 1
     [result] = json.loads(out)
     assert not result["ok"] and "125" in result["detail"]
-    # So is a blow-up tangent with a negative multiplicity: it has no list
-    # of characters for the point to hold.
+    # So is a blow-up tangent with a character taken out that it does not
+    # hold: the guarded difference rejects the negative multiplicity that
+    # Counter `-` would drop.
     tangent = fixedpoints.blowup_point_tangent
     with mock.patch.object(
-        fixedpoints, "blowup_point_tangent", lambda c, mu: tangent(c, mu) - lines("x0^2")
+        fixedpoints,
+        "blowup_point_tangent",
+        lambda c, mu: fixedpoints._difference(tangent(c, mu), lines("x0^2")),
     ):
         code, out, _ = run(["verify", "--json"], capsys)
     assert code == 1

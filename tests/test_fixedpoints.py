@@ -24,6 +24,7 @@ from quartics.fixedpoints import (
     fiber_rep,
     fixed_point_record,
     grassmann_fixed_points,
+    grassmann_tangent,
     lemma_injectivity_check,
     limit_ideal_oracle,
     stage1_centers,
@@ -33,7 +34,6 @@ from quartics.fixedpoints import (
 from quartics.repring import (
     LaurentMonomial,
     MonomialIdeal,
-    RepElement,
     ideal_twist,
     invariant_sections,
 )
@@ -49,6 +49,14 @@ def ideal(*texts: str) -> MonomialIdeal:
 
 def permute_ideal(I: MonomialIdeal, images: tuple[int, int, int]) -> MonomialIdeal:
     return MonomialIdeal(g.remap((0, *images), 4) for g in I.generators)
+
+
+def ambient_tangent(I: MonomialIdeal) -> Counter[LaurentMonomial]:
+    """Oracle for Hom(I, V[2]/I): the ring product V[2]·I* - I·I*."""
+    gens = I.generators
+    ambient = Counter(q / g for q in invariant_sections(3, 2) for g in gens)
+    ambient.subtract(h / g for h in gens for g in gens)
+    return ambient
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +112,7 @@ def test_stage1_center_census():
     centers = stage1_centers()
     assert len(centers) == 9
     assert all(len(c.normal_basis) == 6 for c in centers)
-    assert all(c.tangent_to_center.dimension == 4 for c in centers)
+    assert all(c.tangent_to_center.total() == 4 for c in centers)
 
 
 def test_stage1_pencil_table():
@@ -122,17 +130,21 @@ def test_stage1_pencil_table():
 def test_stage1_tables_match_ambient_tangent():
     # The derived center tangent and normal space split Hom(I, V[2]/I)
     # at every first-stage center.
-    v2 = RepElement.from_monomials(invariant_sections(3, 2))
-    for center in stage1_centers():
-        gens = RepElement.from_monomials(center.base_ideal.generators)
-        ambient = (v2 - gens) * gens.dual()
+    centers = stage1_centers()
+    for center in centers:
+        ambient = ambient_tangent(center.base_ideal)
         assert center.tangent_to_center + center.normal_basis == ambient, center.base_ideal
+    # The Grassmannian point (x0^2, x1^2) is one more input: 5 residual
+    # quadrics times 2 dual generators.
+    for I in [*(c.base_ideal for c in centers), ideal("x0^2", "x1^2")]:
+        assert grassmann_tangent(I) == ambient_tangent(I), I
+    assert ambient_tangent(ideal("x0^2", "x1^2")).total() == 10
     # The double-line center (x1^2, x1*x2), term for term.
     center = next(
-        c for c in stage1_centers() if c.base_ideal == ideal("x1^2", "x1*x2")
+        c for c in centers if c.base_ideal == ideal("x1^2", "x1*x2")
     )
-    assert center.tangent_to_center == RepElement(
-        [(mono("x3*x1^-1"), 2), (mono("x3*x2^-1"), 1), (mono("x2*x1^-1"), 1)]
+    assert center.tangent_to_center == Counter(
+        {mono("x3*x1^-1"): 2, mono("x3*x2^-1"): 1, mono("x2*x1^-1"): 1}
     )
     assert set(center.normal_basis) == {
         mono("x0^2*x1^-2"), mono("x0^2*x1^-1*x2^-1"), mono("x2^2*x1^-2"),
@@ -155,6 +167,8 @@ STAGE2_ROWS = (
 
 
 def test_stage2_centers_match_typed_rows():
+    # A Counter is not hashable, so each tangent is compared as its
+    # character tuple in canonical order.
     typed = set()
     for gens, lcm, tangent in STAGE2_ROWS:
         for images in permutations((1, 2, 3)):
@@ -162,9 +176,12 @@ def test_stage2_centers_match_typed_rows():
             typed.add((
                 MonomialIdeal(mono(g).remap(perm, 4) for g in gens),
                 mono(lcm).remap(perm, 4),
-                RepElement.from_monomials(mono(t).remap(perm, 4) for t in tangent),
+                tuple(sorted((mono(t).remap(perm, 4) for t in tangent), reverse=True)),
             ))
-    derived = [(c.base_ideal, c.lcm_base, c.tangent_to_center) for c in stage2_centers()]
+    derived = [
+        (c.base_ideal, c.lcm_base, tuple(sorted(c.tangent_to_center.elements(), reverse=True)))
+        for c in stage2_centers()
+    ]
     assert len(typed) == len(derived) == 12
     assert set(derived) == typed
 
@@ -173,7 +190,7 @@ def test_stage2_center_census():
     centers = stage2_centers()
     assert len(centers) == 12
     assert all(len(c.normal_basis) == 6 for c in centers)
-    assert all(c.tangent_to_center.dimension == 4 for c in centers)
+    assert all(c.tangent_to_center.total() == 4 for c in centers)
 
 
 def test_stage2_tables_match_blowup_composition():
@@ -193,17 +210,17 @@ def test_stage2_cusp_table_terms():
         for c in stage2_centers()
         if c.base_ideal == ideal("x1^2", "x1*x2", "x1*x3^2")
     )
-    expected = RepElement(
-        [
-            (mono("x3*x1^-1"), 2),
-            (mono("x2*x1^-1"), 2),
-            (mono("x3*x2^-1"), 1),
-            (mono("x0^2*x3^-2"), 1),
-            (mono("x3^2*x1^-1*x2^-1"), 1),
-            (mono("x2^3*x1^-1*x3^-2"), 1),
-            (mono("x2^2*x1^-1*x3^-1"), 1),
-            (mono("x0^2*x2*x1^-1*x3^-2"), 1),
-        ]
+    expected = Counter(
+        {
+            mono("x3*x1^-1"): 2,
+            mono("x2*x1^-1"): 2,
+            mono("x3*x2^-1"): 1,
+            mono("x0^2*x3^-2"): 1,
+            mono("x3^2*x1^-1*x2^-1"): 1,
+            mono("x2^3*x1^-1*x3^-2"): 1,
+            mono("x2^2*x1^-1*x3^-1"): 1,
+            mono("x0^2*x2*x1^-1*x3^-2"): 1,
+        }
     )
     assert center.tangent_to_center + center.normal_basis == expected
 
@@ -291,7 +308,7 @@ def test_blowup_empty_normal_basis_returns_nothing():
     degenerate = BlowupCenterDatum(
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
-        normal_basis=RepElement(),
+        normal_basis=Counter(),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
@@ -306,7 +323,7 @@ def test_blowup_rejects_inconsistent_center_data():
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
         # lcm * mu has a negative exponent
-        normal_basis=RepElement.from_monomials([mono("x2^2*x1^-2")]),
+        normal_basis=Counter([mono("x2^2*x1^-2")]),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
@@ -318,6 +335,16 @@ def test_blowup_point_tangent_requires_normal_direction():
     center = stage1_centers()[0]
     with pytest.raises(ValueError):
         blowup_point_tangent(center, mono("x0^2*x2^-1*x3^-1"))
+
+
+def test_normal_space_difference_rejects_a_negative_multiplicity():
+    # Counter `-` would drop the missing character without a word.
+    a = Counter([mono("x1*x2^-1"), mono("x3*x2^-1")])
+    assert fixedpoints._difference(a, Counter([mono("x3*x2^-1")])) == Counter([mono("x1*x2^-1")])
+    with pytest.raises(ValueError, match=r"negative multiplicity at x0\^2: -1"):
+        fixedpoints._difference(a, Counter([mono("x0^2"), mono("x1*x2^-1")]))
+    with pytest.raises(ValueError, match=r"negative multiplicity at x2\^-1\*x3: -1"):
+        fixedpoints._difference(a, Counter({mono("x3*x2^-1"): 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +417,8 @@ def test_oracle_catches_mutated_center_table():
         base_ideal=center.base_ideal,
         tangent_to_center=center.tangent_to_center,
         normal_basis=center.normal_basis
-        - RepElement.from_monomials([mono("x0^2*x1^-1*x2^-1")])
-        + RepElement.from_monomials([mono("x0^2*x2^-1*x3^-1")]),
+        - Counter([mono("x0^2*x1^-1*x2^-1")])
+        + Counter([mono("x0^2*x2^-1*x3^-1")]),
         lcm_base=center.lcm_base,
         stage=center.stage,
     )
@@ -545,11 +572,11 @@ def _direct_h4(h3_points):
     points = []
     for i, x_i in enumerate(linear, start=1):
         perm = fixedpoints.PERM_H[i]
-        dual = RepElement.from_monomials(x_j / x_i for x_j in linear if x_j != x_i)
+        dual = Counter(x_j / x_i for x_j in linear if x_j != x_i)
         for p in h3_points:
             ideal = MonomialIdeal([*(g.remap(perm, 5) for g in p.ideal.generators), x_i])
-            carried = RepElement((m.remap(perm, 5), k) for m, k in Counter(p.tangent).items())
-            tangent = (carried + dual).characters()
+            carried = Counter(m.remap(perm, 5) for m in p.tangent)
+            tangent = tuple(sorted((carried + dual).elements(), reverse=True))
             points.append(FixedPoint(p.stage, ideal, tangent, fiber_rep(ideal), i))
     return sorted(points, key=FixedPoint.sort_key)
 
@@ -589,9 +616,8 @@ def test_fiber_rep_is_sections_minus_twist(h3_points, h4_points):
         n = p.ideal.nvars - 1
         sections = invariant_sections(n, 6)
         twist = ideal_twist(p.ideal, 6)
-        assert p.fiber == (
-            RepElement.from_monomials(sections) - RepElement.from_monomials(twist)
-        ).characters(), p.ideal
+        rest = Counter(sections) - Counter(twist)
+        assert p.fiber == tuple(sorted(rest.elements(), reverse=True)), p.ideal
         assert len(set(p.fiber)) == len(p.fiber)
         assert len(p.fiber) + len(twist) == len(sections) == {3: 50, 4: 130}[n]
 
