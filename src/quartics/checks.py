@@ -113,7 +113,7 @@ def run_checks(
     directions = 0
     for center in stage1 + stage2:
         mismatches.extend(fixedpoints.center_oracle_agreement(center))
-        directions += len(center.normal_basis)
+        directions += len(+center.normal_basis)
     check(
         "flat-limit-oracle",
         not mismatches,

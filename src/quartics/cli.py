@@ -111,7 +111,7 @@ def cmd_fixed_points(args) -> int:
     if args.json:
         print(counts_line, file=sys.stderr)
         records = [fixedpoints.fixed_point_record(p) for p in points]
-        print(json.dumps(records, indent=2))
+        print("[", ",\n".join(records), "]", sep="\n")
     else:
         print(counts_line)
         for index, point in enumerate(points, 1):

@@ -38,6 +38,7 @@ recomputes every blown-up ideal from first principles as a flat limit.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations, filterfalse, groupby, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -241,11 +242,11 @@ def blowup_point_tangent(
     `direction`, and the tangent space of the projectivized normal space
     (one line eta * direction^-1 per other normal character eta).
     """
-    if direction not in center.normal_basis:
+    if center.normal_basis[direction] < 1:
         raise ValueError(f"{direction} is not a normal direction of {center.base_ideal}")
     lines = [direction]
     lines.extend(
-        eta / direction for eta in center.normal_basis if eta != direction
+        eta / direction for eta in +center.normal_basis if eta != direction
     )
     return center.tangent_to_center + Counter(lines)
 
@@ -259,7 +260,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     from this stage's output.
     """
     points = []
-    for mu in sorted(center.normal_basis, reverse=True):
+    for mu in sorted(+center.normal_basis, reverse=True):
         ideal = _blowup_ideal(center, mu)
         if ideal is None:
             raise ValueError(
@@ -387,7 +388,7 @@ def center_oracle_agreement(
     lcm_base * mu has a negative exponent.
     """
     mismatches = []
-    for mu in sorted(center.normal_basis, reverse=True):
+    for mu in sorted(+center.normal_basis, reverse=True):
         closed_form = _blowup_ideal(center, mu)
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
@@ -496,15 +497,25 @@ def multiplicities(characters: Sequence[LaurentMonomial]) -> list[tuple[LaurentM
     return [(m, sum(1 for _ in run)) for m, run in groupby(characters)]
 
 
-def fixed_point_record(point: FixedPoint) -> dict:
-    """JSON-ready record: ideal and fiber as monomial strings in canonical
-    order, tangent as (monomial, multiplicity) pairs."""
-    return {
-        "stage": point.stage,
-        "hyperplane": point.hyperplane,
-        "ideal": [str(g) for g in point.ideal.generators],
-        "tangent": [
-            {"monomial": str(m), "multiplicity": k} for m, k in multiplicities(point.tangent)
-        ],
-        "fiber": list(map(str, point.fiber)),
-    }
+@lru_cache(maxsize=None)
+def _json_string(m: LaurentMonomial) -> str:
+    """A character as a JSON string; its rendering (x, digits, ^, -, *) needs no escapes."""
+    return f'"{m}"'
+
+
+def fixed_point_record(point: FixedPoint) -> str:
+    """The point's element of the JSON dump, the text `json.dumps` writes
+    with indent=2 for its record at depth 1: ideal and fiber as monomial
+    strings in canonical order, tangent as (monomial, multiplicity) pairs."""
+    sep = ",\n      "
+    tangent = sep.join(
+        f'{{\n        "monomial": {_json_string(m)},\n        "multiplicity": {k}\n      }}'
+        for m, k in multiplicities(point.tangent)
+    )
+    hyperplane = "null" if point.hyperplane is None else point.hyperplane
+    return (
+        f'  {{\n    "stage": "{point.stage}",\n    "hyperplane": {hyperplane},\n'
+        f'    "ideal": [\n      {sep.join(map(_json_string, point.ideal.generators))}\n    ],\n'
+        f'    "tangent": [\n      {tangent}\n    ],\n'
+        f'    "fiber": [\n      {sep.join(map(_json_string, point.fiber))}\n    ]\n  }}'
+    )

@@ -5,7 +5,7 @@ from typing import Mapping
 
 import pytest
 
-from quartics.fixedpoints import FixedPoint, assemble_h4, enumerate_h3
+from quartics.fixedpoints import FixedPoint, assemble_h4, enumerate_h3, multiplicities
 from quartics.repring import LaurentMonomial, MonomialIdeal
 
 
@@ -37,8 +37,23 @@ def parse_monomial(text: str, nvars: int) -> LaurentMonomial:
     return LaurentMonomial(exps)
 
 
+def record_dict(point: FixedPoint) -> dict:
+    """A point's dump record as a dict, the independent oracle for the text
+    of `fixedpoints.fixed_point_record`: ideal and fiber as monomial strings
+    in canonical order, tangent as (monomial, multiplicity) pairs."""
+    return {
+        "stage": point.stage,
+        "hyperplane": point.hyperplane,
+        "ideal": [str(g) for g in point.ideal.generators],
+        "tangent": [
+            {"monomial": str(m), "multiplicity": k} for m, k in multiplicities(point.tangent)
+        ],
+        "fiber": list(map(str, point.fiber)),
+    }
+
+
 def fixed_point_from_record(record: Mapping) -> FixedPoint:
-    """Inverse of `fixedpoints.fixed_point_record`, for the dump round trips."""
+    """Inverse of `record_dict`, for the dump round trips."""
     nvars = 4 if record["hyperplane"] is None else 5
     return FixedPoint(
         stage=record["stage"],

@@ -312,15 +312,19 @@ def test_verify_detects_center_built_from_a_wrong_pencil(
         f"mismatch at (x1*x2, x1*x3): {named} has multiplicity -1 in Hom(I, V[2]/I) "
         "minus the center tangent, -1 stored"
     )
-    assert results["flat-limit-oracle"].ok
+    # Only the 7 characters of positive multiplicity are directions: 120 at
+    # the 20 untouched centers, 7 here.
+    assert results["flat-limit-oracle"].detail == (
+        "flat limits match closed-form ideals in 127 directions"
+    )
 
 
 @pytest.mark.parametrize(
     "old, new, failing",
     [
-        # x0^2*x2^-2 is no ambient line: the oracle meets a direction whose
-        # closed form needs a negative exponent and reports it as a mismatch.
-        ("x0^2*x3^-2", "x0^2*x2^-2", ["stage2-tables", "flat-limit-oracle"]),
+        # x0^2*x2^-2 is no ambient line: it gets multiplicity -1 in the
+        # derived normal space, so it is no direction for the oracle.
+        ("x0^2*x3^-2", "x0^2*x2^-2", ["stage2-tables"]),
         ("x3*x2^-1", "x2*x3^-1", ["stage2-tables"]),
     ],
     ids=["line-outside-ambient", "line-inverted"],
@@ -346,6 +350,25 @@ def test_verify_detects_mutated_stage2_center_tangent(
     assert [r["name"] for r in results if not r["ok"]] == failing
     [tables] = [r for r in results if r["name"] == "stage2-tables"]
     assert "(x1^2, x1*x2, x1*x3^2)" in tables["detail"]
+
+
+def test_verify_reports_a_direction_with_no_closed_form(h3_points, h4_points, capsys, monkeypatch):
+    # Stored as a normal direction of the cusp center, x0^2*x2^-2 (no
+    # ambient line) has a closed form with a negative exponent; the oracle
+    # reports it as a mismatch in place of aborting the suite.
+    centers = stage2_centers()
+    real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
+    mutated = real._replace(normal_basis=real.normal_basis + lines("x0^2*x2^-2"))
+    rest = [c for c in centers if c is not real]
+    with prebuilt(h3_points, h4_points):
+        monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
+        code, out, _ = run(["verify", "--json"], capsys)
+    assert code == 1
+    results = json.loads(out)
+    assert [r["name"] for r in results if not r["ok"]] == ["stage2-tables", "flat-limit-oracle"]
+    [oracle] = [r for r in results if r["name"] == "flat-limit-oracle"]
+    assert oracle["detail"].startswith("1 mismatches, first: (LaurentMonomial('x0^2*x2^-2')")
+    assert oracle["detail"].endswith(", None)")
 
 
 @pytest.mark.parametrize("copies", [1, 2], ids=["tangent", "repeated"])
@@ -374,12 +397,18 @@ def test_verify_names_accepted_degenerate_weights(h3_points, h4_points, monkeypa
 
 def test_importing_checks_leaves_cli_unloaded():
     # `python -m quartics.cli` runs cli as __main__; a checks -> cli import
-    # would load a second cli module with its own ConfigError.
+    # would load a second cli module with its own ConfigError.  The sweep
+    # benchmark's set-up imports the package, so the dump writer must not
+    # pull in `json` either.
+    script = (
+        "import sys, quartics, quartics.checks; "
+        "print(sorted({'quartics.cli', 'json'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quartics.checks; print('quartics.cli' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=60, env=module_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_count_imports_neither_dataclasses_nor_inspect():
@@ -498,14 +527,20 @@ def test_invalid_arguments_exit_2(argv, named, capsys):
     assert "error: " in last and named in last
 
 
-def test_closed_stdout_exits_141():
-    # The text dump (about 195 KB) outgrows the pipe buffer, so writing
-    # fails once the reader has closed its end after the first line.
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [(["fixed-points"], b"counts: "), (["fixed-points", "--json"], b"[\n")],
+    ids=["fixed-points", "fixed-points --json"],
+)
+def test_closed_stdout_exits_141(argv, first_line):
+    # Both dumps (about 195 KB of text, 678 KB of JSON) outgrow the pipe
+    # buffer, so writing fails once the reader has closed its end after
+    # the first line.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "quartics.cli", "fixed-points"],
+        [sys.executable, "-m", "quartics.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
     )
-    assert proc.stdout.readline().startswith(b"counts: ")
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from conftest import fixed_point_from_record, parse_monomial
+from conftest import fixed_point_from_record, parse_monomial, record_dict
 from quartics import fixedpoints
 from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
@@ -637,5 +638,12 @@ def test_lemma_injectivity_examples():
 
 def test_fixed_point_record_round_trip(h3_points, h4_points):
     for p in list(h3_points)[:5] + list(h4_points)[:5]:
-        record = fixed_point_record(p)
-        assert fixed_point_from_record(record) == p
+        assert fixed_point_from_record(json.loads(fixed_point_record(p))) == p
+
+
+@pytest.mark.parametrize("space", ["h3", "h4"])
+def test_fixed_point_records_join_to_the_json_encoder_bytes(space, h3_points, h4_points):
+    # The h3 records carry `"hyperplane": null`, the h4 records an integer.
+    points = h3_points if space == "h3" else h4_points
+    text = "\n".join(["[", ",\n".join(map(fixed_point_record, points)), "]"])
+    assert text == json.dumps([record_dict(p) for p in points], indent=2)
