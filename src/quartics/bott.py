@@ -15,10 +15,17 @@ of the degree-6 bundle equals the sum over fixed points of
 evaluated here in exact big-integer rational arithmetic.  No floating
 point appears anywhere: products of 13 weights of size up to 10^4
 overflow 64-bit integers.  Each point holds its fiber and tangent
-characters as tuples, each character repeated by its multiplicity; a sum
-specializes each distinct character once, and adds the 504 terms over
-one common denominator, the lcm L of the tangent products:
-sum n_p / d_p = (sum n_p * (L / d_p)) / L, with a single gcd at the end.
+characters as tuples, each character repeated by its multiplicity.
+
+A point sequence is compiled once: its distinct characters (395 on the
+504 points), the set of its distinct tangent characters (280), and each
+point's tangent and fiber as positions into the characters.  One compiled
+form is held, and a call reuses it when it passes the same point objects
+in the same order, so a sweep over weight vectors builds nothing.  A sum
+specializes each distinct character once, multiplies by position, and
+adds the terms over one common denominator, the lcm L of the tangent
+products: sum n_p / d_p = (sum n_p * (L / d_p)) / L, with a single gcd at
+the end.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
@@ -77,20 +86,49 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     return sum(map(operator.mul, m, w))
 
 
-def _tangent_characters(points: Iterable[FixedPoint]) -> set[LaurentMonomial]:
-    """The distinct tangent characters of the points; usability depends on these alone."""
-    return set().union(*(p.tangent for p in points))
+class _Compiled(NamedTuple):
+    """A point sequence with its characters numbered; `tangents[i]` and
+    `fibers[i]` are point i's characters as positions into `characters`.
+    Usability depends on `tangent_characters` alone."""
+
+    points: tuple[FixedPoint, ...]
+    characters: tuple[LaurentMonomial, ...]
+    tangent_characters: frozenset[LaurentMonomial]
+    tangents: tuple[tuple[int, ...], ...]
+    fibers: tuple[tuple[int, ...], ...]
+
+
+_held = _Compiled((), (), frozenset(), (), ())
+
+
+def _compile(points: Iterable[FixedPoint]) -> _Compiled:
+    """The compiled form of the points, reused while the same point objects
+    come in the same order; the held tuple keeps that identity test sound."""
+    global _held
+    points = tuple(points)
+    held = _held
+    if len(held.points) == len(points) and all(map(operator.is_, held.points, points)):
+        return held
+    # A character gets the next position when first seen, hashed once per occurrence.
+    positions: defaultdict[LaurentMonomial, int] = defaultdict(count().__next__)
+    tangents = tuple(tuple(map(positions.__getitem__, p.tangent)) for p in points)
+    tangent_characters = frozenset(positions)
+    fibers = tuple(tuple(map(positions.__getitem__, p.fiber)) for p in points)
+    _held = _Compiled(points, tuple(positions), tangent_characters, tangents, fibers)
+    return _held
 
 
 def find_zero_weight(
     points: Sequence[FixedPoint], w: WeightVector
 ) -> tuple[FixedPoint, LaurentMonomial] | None:
     """First (fixed point, tangent monomial) specializing to weight 0.  The
-    points are walked only to name the witness once a distinct character fails."""
-    if all(weight_of(m, w) for m in _tangent_characters(points)):
+    points are walked in order only to name the witness once a distinct
+    character fails."""
+    compiled = _compile(points)
+    if all(weight_of(m, w) for m in compiled.tangent_characters):
         return None
     return next(
-        (p, m) for p in points for m in p.tangent if not weight_of(m, w)
+        (p, m) for p in compiled.points for m in p.tangent if not weight_of(m, w)
     )
 
 
@@ -116,7 +154,7 @@ def random_weight_search(
     """
     if hi - lo + 1 < MIN_RANGE_WIDTH:
         raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
-    characters = _tangent_characters(points)
+    characters = _compile(points).tangent_characters
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
@@ -132,34 +170,25 @@ def bott_sum(
 
     Sums (product of fiber weights) / (product of tangent weights) over the
     fixed points, each weight repeated by its multiplicity, with the lcm of
-    the tangent products as the common denominator.  `w` must pass
-    `validate_weights` first; a zero tangent product raises.  Exact
+    the tangent products as the common denominator.  Each distinct
+    character of the compiled points (reused for the same point objects in
+    the same order) is specialized once, and products are taken over
+    positions.  `w` must pass `validate_weights` first; a zero tangent
+    product raises, naming the first such point in the given order.  Exact
     arithmetic makes the result independent of summation order.
     """
-    specialized: dict[LaurentMonomial, int] = {}
-
-    def weight(m: LaurentMonomial) -> int:
-        value = specialized.get(m)
-        if value is None:
-            value = specialized[m] = weight_of(m, w)
-        return value
-
-    numerators: list[int] = []
-    denominators: list[int] = []
-    labels: list[str] = []
-    for point in points:
-        denominator = math.prod(map(weight, point.tangent))
-        if denominator == 0:
-            raise ZeroDivisionError(
-                f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
-            )
-        numerators.append(math.prod(map(weight, point.fiber)))
-        denominators.append(denominator)
-        if keep_terms:
-            labels.append(point.label)
+    compiled = _compile(points)
+    weight = [weight_of(m, w) for m in compiled.characters].__getitem__
+    denominators = [math.prod(map(weight, t)) for t in compiled.tangents]
+    if 0 in denominators:
+        point = compiled.points[denominators.index(0)]
+        raise ZeroDivisionError(
+            f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
+        )
+    numerators = [math.prod(map(weight, f)) for f in compiled.fibers]
     common = math.lcm(*denominators)
     value = Fraction(sum(n * (common // d) for n, d in zip(numerators, denominators)), common)
     if not keep_terms:
         return LocalizationResult(value)
-    terms = zip(labels, map(Fraction, numerators, denominators))
+    terms = zip((p.label for p in compiled.points), map(Fraction, numerators, denominators))
     return LocalizationResult(value, tuple(terms))

@@ -41,10 +41,15 @@ def test_weight_of_examples():
     assert weight_of(mono("x0^2*x1^-1*x2^-1"), DEFAULT_WEIGHTS) == 513
 
 
-def test_weight_of_requires_one_weight_per_character():
+def test_weight_of_requires_one_weight_per_character(h4_points):
     for nvars in (4, 6):
         with pytest.raises(ValueError):
             weight_of(mono("x2*x1^-1", nvars), DEFAULT_WEIGHTS)
+    for w in (DEFAULT_WEIGHTS[:4], DEFAULT_WEIGHTS + (1,)):
+        with pytest.raises(ValueError):
+            bott_sum(h4_points, w)
+        with pytest.raises(ValueError):
+            validate_weights(h4_points, w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +184,16 @@ def test_bott_sum_fiber_equals_tangent():
     assert result.value == Fraction(1)
 
 
-def test_bott_sum_zero_denominator_raises():
+def test_bott_sum_zero_denominator_raises(h4_points):
     point = _synthetic_point(characters(("x2*x1^-1", 1)))
     with pytest.raises(ZeroDivisionError, match=re.escape(point.label)):
         bott_sum([point], (1, 1, 1, 1, 1))
+    # Many points have a zero tangent weight here; the first in the given order is named.
+    w = (1, 1, 1, 1, 1)
+    for order in (h4_points, h4_points[::-1]):
+        first = next(p for p in order if not all(weight_of(m, w) for m in p.tangent))
+        with pytest.raises(ZeroDivisionError, match=re.escape(f"at {first.label};")):
+            bott_sum(order, w)
 
 
 def _numerator(fiber, w) -> Fraction:
@@ -259,9 +270,48 @@ def test_bott_sum_keeps_terms_when_asked(h4_points):
 
 
 def test_bott_sum_is_summation_order_invariant(h4_points):
+    bott_sum(h4_points, DEFAULT_WEIGHTS)
     shuffled = list(h4_points)
     random.Random(7).shuffle(shuffled)
-    assert bott_sum(shuffled, DEFAULT_WEIGHTS).value == Fraction(6028452)
+    result = bott_sum(shuffled, DEFAULT_WEIGHTS, keep_terms=True)
+    assert result.value == Fraction(6028452)
+    # The terms come in the shuffled order, not in that of the points summed before.
+    assert result.per_point_terms == _oracle_bott_sum(shuffled, DEFAULT_WEIGHTS)[1]
+
+
+def test_bott_sum_specializes_each_distinct_character_once(h4_points, monkeypatch):
+    calls = Counter()
+
+    def counting_weight_of(m, w):
+        calls[m] += 1
+        return weight_of(m, w)
+
+    monkeypatch.setattr(bott, "weight_of", counting_weight_of)
+    assert bott_sum(h4_points, DEFAULT_WEIGHTS).value == Fraction(6028452)
+    occurrences = Counter(m for p in h4_points for m in p.tangent + p.fiber)
+    assert (len(occurrences), occurrences.total()) == (395, 13104)
+    assert calls == Counter(occurrences.keys())
+
+
+def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
+    points = list(h4_points)
+    bott_sum(points, DEFAULT_WEIGHTS)
+    held = bott._held
+    assert validate_weights(points, DEFAULT_WEIGHTS)
+    bott_sum(list(points), DEFAULT_WEIGHTS)
+    assert bott._held is held
+    assert len(held.tangent_characters) == 280
+
+    # A point replaced in place, the length kept: zero at `w` only on the new character.
+    w, _ = random_weight_search(0, 1, 10_000, points)
+    character = LaurentMonomial((0, w[2], -w[1], 0, 0))
+    assert weight_of(character, w) == 0 and weight_of(character, DEFAULT_WEIGHTS) != 0
+    points[250] = _synthetic_point((character,) * 2, characters(("x2*x1^-1", 3)))
+    result = bott_sum(points, DEFAULT_WEIGHTS, keep_terms=True)
+    assert bott._held is not held
+    assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, DEFAULT_WEIGHTS)
+    assert find_zero_weight(points, w) == (points[250], character)
+    assert not validate_weights(points, w)
 
 
 def test_bott_sum_weight_independent(h4_points):
