@@ -60,7 +60,7 @@ MIN_RANGE_WIDTH = 11
 WeightVector = Sequence[int]
 
 
-class WeightSearchExhausted(RuntimeError):
+class WeightSearchExhausted(Exception):
     """`ATTEMPT_BUDGET` draws from [lo, hi] in a row gave no usable vector."""
 
     def __init__(self, lo: int, hi: int):

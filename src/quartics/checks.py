@@ -112,15 +112,16 @@ def run_checks(
     mismatches = []
     directions = 0
     for center in stage1 + stage2:
-        mismatches.extend(fixedpoints.center_oracle_agreement(center))
+        mismatches += [(center.base_ideal, *m) for m in fixedpoints.center_oracle_agreement(center)]
         directions += len(+center.normal_basis)
-    check(
-        "flat-limit-oracle",
-        not mismatches,
-        f"flat limits match closed-form ideals in {directions} directions"
-        if not mismatches
-        else f"{len(mismatches)} mismatches, first: {mismatches[0]}",
-    )
+    detail = f"flat limits match closed-form ideals in {directions} directions"
+    if mismatches:
+        base, mu, limit, closed = mismatches[0]
+        closed = "no closed form" if closed is None else f"closed form {closed}"
+        plural = "" if len(mismatches) == 1 else "es"
+        detail = (f"{len(mismatches)} mismatch{plural}, first: center {base}, "
+                  f"direction {mu}: flat limit {limit}, {closed}")
+    check("flat-limit-oracle", not mismatches, detail)
 
     failing = [p.ideal for p in h3 if not fixedpoints.lemma_injectivity_check(p.ideal)]
     check(

@@ -123,9 +123,8 @@ def grassmann_tangent(span: MonomialIdeal) -> Counter[LaurentMonomial]:
     """Tangent to the Grassmannian of V[d] at the span S of the generators,
     all of degree d: Hom(S, V[d]/S), one character q/g per section q
     outside S and generator g."""
-    gens = span.generators
-    sections = invariant_sections(span.nvars - 1, gens[0].degree)
-    return Counter(q / g for q in sections if q not in gens for g in gens)
+    sections = invariant_sections(span.nvars - 1, span[0].degree)
+    return Counter(q / g for q in sections if q not in span for g in span)
 
 
 def _difference(
@@ -195,7 +194,7 @@ def _stage1_center(ell: LaurentMonomial, pencil: Sequence[LaurentMonomial]) -> B
     base = MonomialIdeal(ell * w for w in pencil)
     line, span = MonomialIdeal([ell]), MonomialIdeal(pencil)
     tangent = grassmann_tangent(line) + grassmann_tangent(span)
-    lcm = base.generators[0].lcm(base.generators[1])
+    lcm = base[0].lcm(base[1])
     normal = _difference(grassmann_tangent(base), tangent)
     return BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1)
 
@@ -286,7 +285,7 @@ def _blowup_ideal(center: BlowupCenterDatum, mu: LaurentMonomial) -> MonomialIde
     new_gen = center.lcm_base * mu
     if not new_gen.is_regular():
         return None
-    return MonomialIdeal(center.base_ideal.generators + (new_gen,))
+    return MonomialIdeal(center.base_ideal + (new_gen,))
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +317,12 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
     """
     if direction.degree != 0:
         raise ValueError(f"direction must have degree 0: {direction}")
-    degree_bound = 1 + max(g.degree for g in base.generators)
+    degree_bound = 1 + max(g.degree for g in base)
 
     # generator -> scalar coefficient of its first-order term c * mu * m;
     # 0 encodes both "no perturbation possible" and "unknown" (adjoined).
     coeffs: dict[LaurentMonomial, int] = {}
-    for position, gen in enumerate(base.generators):
+    for position, gen in enumerate(base):
         perturbed = direction * gen
         coeffs[gen] = position + 1 if perturbed.is_regular() else 0
 
@@ -363,13 +362,11 @@ def stage2_composed_tangent(
     search among `stage1` cross-checks `stage2_centers`, which knows each
     parent from its flag.
     """
-    parents = [
-        c for c in stage1 if set(c.base_ideal.generators) < set(base.generators)
-    ]
+    parents = [c for c in stage1 if set(c.base_ideal) < set(base)]
     if len(parents) != 1:
         raise ValueError(f"no unique parent center for {base}")
     parent = parents[0]
-    extra = [g for g in base.generators if g not in parent.base_ideal.generators]
+    extra = [g for g in base if g not in parent.base_ideal]
     if len(extra) != 1:
         raise ValueError(f"expected one extra generator in {base}")
     direction = extra[0] / parent.lcm_base
@@ -429,14 +426,14 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
-    characters = {m for point in h3 for m in chain(point.ideal.generators, point.tangent)}
+    characters = {m for point in h3 for m in chain(point.ideal, point.tangent)}
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
         carried = {m: m.remap(PERM_H[i], 5) for m in characters}.__getitem__
         directions = [x_j / x_i for x_j in linear if x_j != x_i]
         for point in h3:
-            ideal = MonomialIdeal([*map(carried, point.ideal.generators), x_i])
+            ideal = MonomialIdeal([*map(carried, point.ideal), x_i])
             tangent = sorted(chain(map(carried, point.tangent), directions), reverse=True)
             points.append(
                 FixedPoint(
@@ -515,7 +512,7 @@ def fixed_point_record(point: FixedPoint) -> str:
     hyperplane = "null" if point.hyperplane is None else point.hyperplane
     return (
         f'  {{\n    "stage": "{point.stage}",\n    "hyperplane": {hyperplane},\n'
-        f'    "ideal": [\n      {sep.join(map(_json_string, point.ideal.generators))}\n    ],\n'
+        f'    "ideal": [\n      {sep.join(map(_json_string, point.ideal))}\n    ],\n'
         f'    "tangent": [\n      {tangent}\n    ],\n'
         f'    "fiber": [\n      {sep.join(map(_json_string, point.fiber))}\n    ]\n  }}'
     )

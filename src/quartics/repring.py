@@ -18,9 +18,10 @@ to degree-m monomials with even x0-exponent (Gamma-invariant monomials,
 as tested by `LaurentMonomial.is_invariant`); `invariant_sections` gives
 the space V[m] they span as its tuple of monomials in canonical order.
 
-Torus-fixed curves have monomial graded ideals (`MonomialIdeal`); the
-degree-k slice of such an ideal, the set of sections of V[k] lying in it,
-is `ideal_twist`: the union of the sections each generator divides, which
+Torus-fixed curves have monomial graded ideals; a monomial ideal
+(`MonomialIdeal`) is the tuple of its reduced generators.  The degree-k
+slice of such an ideal, the set of sections of V[k] lying in it, is
+`ideal_twist`: the union of the sections each generator divides, which
 are the generator times the sections of the complementary degree.  All
 values are immutable and all operations are pure.
 """
@@ -127,13 +128,16 @@ class LaurentMonomial(tuple):
         return f"LaurentMonomial('{self}')"
 
 
-class MonomialIdeal:
-    """A monomial ideal given by a reduced finite generator set.
+class MonomialIdeal(tuple):
+    """A monomial ideal, the tuple of its reduced generators.
 
     Generators are ordinary (nonnegative-exponent) monomials; the
     constructor drops any generator divisible by another, so no generator
-    divides a different one.  Ideals of Gamma-fixed curves have all
-    generators Gamma-invariant; this is checked.
+    divides a different one, and keeps the rest in canonical order.
+    Equality, hashing and immutability are the tuple's own: `g in I` asks
+    whether g is a generator, `I.contains(m)` whether m lies in the ideal.
+    Ideals of Gamma-fixed curves have all generators Gamma-invariant;
+    this is checked.
 
     >>> I = MonomialIdeal([LaurentMonomial((0, 1, 1, 0)), LaurentMonomial((0, 1, 0, 1))])
     >>> str(I)
@@ -142,9 +146,9 @@ class MonomialIdeal:
     True
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ()
 
-    def __init__(self, generators: Iterable[LaurentMonomial]):
+    def __new__(cls, generators: Iterable[LaurentMonomial]) -> "MonomialIdeal":
         gens = list(dict.fromkeys(generators))
         counts = set(map(len, gens))
         if len(counts) > 1:
@@ -161,25 +165,22 @@ class MonomialIdeal:
             if not any(all(map(operator.le, h, g)) for h in reduced):
                 reduced.append(g)
         reduced.sort(reverse=True)
-        object.__setattr__(self, "generators", tuple(reduced))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MonomialIdeal is immutable")
+        return super().__new__(cls, reduced)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def nvars(self) -> int:
-        if not self.generators:
+        if not self:
             raise ValueError("empty ideal has no ring context")
-        return len(self.generators[0])
+        return len(self[0])
 
     def contains(self, monomial: LaurentMonomial) -> bool:
-        return any(g.divides(monomial) for g in self.generators)
+        return any(g.divides(monomial) for g in self)
 
     def has_common_factor(self) -> bool:
         """True when all generators share a nontrivial monomial factor."""
-        return not reduce(LaurentMonomial.gcd, self.generators).is_trivial()
+        return not reduce(LaurentMonomial.gcd, self).is_trivial()
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical comparison key fixing a deterministic point order.
@@ -188,18 +189,12 @@ class MonomialIdeal:
         the same descending-lexicographic convention as monomial terms
         ((x0^2, x1^2) before (x2^2, x3^2)).
         """
-        return tuple(tuple(map(operator.neg, g)) for g in self.generators)
+        return tuple(tuple(map(operator.neg, g)) for g in self)
 
-    # -- identity and rendering ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialIdeal) and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
+    # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.generators) + ")"
+        return "(" + ", ".join(str(g) for g in self) + ")"
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
@@ -271,6 +266,6 @@ def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """
     if k < 0:
         raise ValueError(f"negative degree: {k}")
-    if not I.generators:
+    if not I:
         raise ValueError("empty ideal has no ring context")
-    return frozenset().union(*(_multiples(g, k) for g in I.generators))
+    return frozenset().union(*(_multiples(g, k) for g in I))

@@ -44,7 +44,7 @@ def record_dict(point: FixedPoint) -> dict:
     return {
         "stage": point.stage,
         "hyperplane": point.hyperplane,
-        "ideal": [str(g) for g in point.ideal.generators],
+        "ideal": [str(g) for g in point.ideal],
         "tangent": [
             {"monomial": str(m), "multiplicity": k} for m, k in multiplicities(point.tangent)
         ],

@@ -93,7 +93,7 @@ def test_criterion_6_center_table_consistency():
     v2 = invariant_sections(3, 2)
     stage1 = stage1_centers()
     for center in stage1 + stage2_centers():
-        gens = center.base_ideal.generators
+        gens = center.base_ideal
         if center.stage == STAGE_BLOWUP1:
             # The ring product V[2]·I* - I·I*.
             ambient = Counter(q / g for q in v2 for g in gens)

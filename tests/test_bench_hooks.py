@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quartics import cli
+from quartics import bott, cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -76,3 +76,21 @@ def test_build_holds_the_pinned_counts(workload, argv, tracehooks, bench_run, ca
     # 126 ideals of P(2,1,1,1) with 50 sextic sections, 504 of P(2,1,1,1,1) with 130.
     assert totals["repring.ideal_twist.scanned"] == 126 * 50 + 504 * 130 == 71820
     assert totals["repring.ideal_twist.kept"] == 63630
+
+
+def test_sweep_op_holds_the_pinned_counts(h4_points, tracehooks, bench_run):
+    # One traced op as `bench/sweep_worker.py` runs it: `validate_weights`
+    # and `bott_sum` at the next usable vector, in a root `bench.op` span.
+    inputs = importlib.import_module("inputs")
+    w = next(inputs.usable_weights("sweep-1", sorted({m for p in h4_points for m in p.tangent})))
+    recorder = tracehooks.Recorder()
+    recorder.install()
+    try:
+        with recorder.span("bench.op"):
+            value = bott.bott_sum(h4_points, w).value if bott.validate_weights(h4_points, w) else None
+    finally:
+        recorder.uninstall()
+    assert value == bench_run.HEADLINE
+    [(root, totals)] = bench_run.layer_ops(recorder.spans)
+    assert root == "bench.op"
+    assert bench_run.count_problems("sweep", [totals], bench_run.OP_COUNTS["sweep"]) == []

@@ -367,8 +367,10 @@ def test_verify_reports_a_direction_with_no_closed_form(h3_points, h4_points, ca
     results = json.loads(out)
     assert [r["name"] for r in results if not r["ok"]] == ["stage2-tables", "flat-limit-oracle"]
     [oracle] = [r for r in results if r["name"] == "flat-limit-oracle"]
-    assert oracle["detail"].startswith("1 mismatches, first: (LaurentMonomial('x0^2*x2^-2')")
-    assert oracle["detail"].endswith(", None)")
+    assert oracle["detail"].startswith(
+        "1 mismatch, first: center (x1^2, x1*x2, x1*x3^2), direction x0^2*x2^-2: flat limit ("
+    )
+    assert oracle["detail"].endswith("), no closed form")
 
 
 @pytest.mark.parametrize("copies", [1, 2], ids=["tangent", "repeated"])

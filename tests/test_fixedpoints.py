@@ -49,14 +49,13 @@ def ideal(*texts: str) -> MonomialIdeal:
 
 
 def permute_ideal(I: MonomialIdeal, images: tuple[int, int, int]) -> MonomialIdeal:
-    return MonomialIdeal(g.remap((0, *images), 4) for g in I.generators)
+    return MonomialIdeal(g.remap((0, *images), 4) for g in I)
 
 
 def ambient_tangent(I: MonomialIdeal) -> Counter[LaurentMonomial]:
     """Oracle for Hom(I, V[2]/I): the ring product V[2]·I* - I·I*."""
-    gens = I.generators
-    ambient = Counter(q / g for q in invariant_sections(3, 2) for g in gens)
-    ambient.subtract(h / g for h in gens for g in gens)
+    ambient = Counter(q / g for q in invariant_sections(3, 2) for g in I)
+    ambient.subtract(h / g for h in I for g in I)
     return ambient
 
 
@@ -69,7 +68,7 @@ def test_grassmannian_census():
     points = grassmann_fixed_points()
     assert len(points) == 12
     assert all(p.stage == STAGE_GRASSMANNIAN for p in points)
-    assert all(len(p.ideal.generators) == 2 for p in points)
+    assert all(len(p.ideal) == 2 for p in points)
 
 
 def test_grassmannian_pairs_have_disjoint_support():
@@ -250,9 +249,7 @@ def test_blowup_points_of_pencil_center():
         c for c in stage1_centers() if c.base_ideal == ideal("x1*x2", "x1*x3")
     )
     points = blowup_fixed_points(center)
-    new_gens = {p.ideal.generators[-1] for p in points} | {
-        g for p in points for g in p.ideal.generators
-    }
+    new_gens = {g for p in points for g in p.ideal}
     expected_new = {
         mono("x0^2*x2"), mono("x0^2*x3"), mono("x2^3"),
         mono("x2^2*x3"), mono("x2*x3^2"), mono("x3^3"),
@@ -277,7 +274,7 @@ def test_blowup_discards_common_factor_candidates():
     assert ideal("x1^2", "x1*x2", "x1*x3^2") in stage2_bases
     assert ideal("x1^2", "x1*x2", "x0^2*x1") in stage2_bases
     candidates = [
-        MonomialIdeal((*c.base_ideal.generators, c.lcm_base * mu))
+        MonomialIdeal((*c.base_ideal, c.lcm_base * mu))
         for c in stage1_centers()
         for mu in c.normal_basis
     ]
@@ -294,10 +291,7 @@ def test_blowup_points_of_cusp_center():
     )
     points = blowup_fixed_points(center)
     assert len(points) == 6
-    fourth_gens = {
-        (set(p.ideal.generators) - set(center.base_ideal.generators)).pop()
-        for p in points
-    }
+    fourth_gens = {(set(p.ideal) - set(center.base_ideal)).pop() for p in points}
     assert fourth_gens == {
         mono("x2*x3^3"), mono("x2^2*x3^2"), mono("x3^4"),
         mono("x2^4"), mono("x2^3*x3"), mono("x0^2*x2^2"),
@@ -513,7 +507,7 @@ def test_h4_ideals_are_distinct(h4_points):
 def test_h4_hyperplane_generator_and_fiber(h4_points):
     for p in h4_points:
         x_i = mono(f"x{p.hyperplane}", 5)
-        assert x_i in p.ideal.generators
+        assert x_i in p.ideal
         # Monomials divisible by x_i lie in the ideal, so the fiber of a
         # point spanning {x_i = 0} has no term involving that character.
         assert all(m[p.hyperplane] == 0 for m in p.fiber)
@@ -575,7 +569,7 @@ def _direct_h4(h3_points):
         perm = fixedpoints.PERM_H[i]
         dual = Counter(x_j / x_i for x_j in linear if x_j != x_i)
         for p in h3_points:
-            ideal = MonomialIdeal([*(g.remap(perm, 5) for g in p.ideal.generators), x_i])
+            ideal = MonomialIdeal([*(g.remap(perm, 5) for g in p.ideal), x_i])
             carried = Counter(m.remap(perm, 5) for m in p.tangent)
             tangent = tuple(sorted((carried + dual).elements(), reverse=True))
             points.append(FixedPoint(p.stage, ideal, tangent, fiber_rep(ideal), i))

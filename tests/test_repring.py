@@ -77,6 +77,21 @@ def test_monomial_is_its_exponent_tuple():
             setattr(m, name, 0)
 
 
+def test_ideal_is_its_generator_tuple():
+    gens = [mono("x1*x3"), mono("x1^2*x2"), mono("x1*x2")]
+    I = MonomialIdeal(gens)
+    assert I == MonomialIdeal(reversed(gens)) == _pairwise_reduction(gens)
+    assert I == (mono("x1*x2"), mono("x1*x3"))
+    assert hash(I) == hash(tuple(I))
+    for name in ("generators", "nvars", "x"):
+        with pytest.raises(AttributeError):
+            setattr(I, name, ())
+    # `in` asks for a generator, `contains` for a member of the ideal.
+    assert mono("x1*x2") in I
+    assert mono("x1^2*x2") not in I
+    assert I.contains(mono("x1^2*x2"))
+
+
 def test_monomial_queries():
     assert mono("1").is_trivial()
     assert mono("x0^2*x1").is_regular()
@@ -181,12 +196,12 @@ def test_invariant_sections_strictly_descending():
 
 def test_ideal_reduction_and_ordering():
     I = ideal("x1*x2", "x1^2*x2", "x1*x3")
-    assert [str(g) for g in I.generators] == ["x1*x2", "x1*x3"]
+    assert [str(g) for g in I] == ["x1*x2", "x1*x3"]
 
 
 def _pairwise_reduction(gens):
-    """Oracle for `MonomialIdeal.generators`: drop every generator that a
-    different one divides, then sort descending."""
+    """Oracle for the generator tuple of a `MonomialIdeal`: drop every
+    generator that a different one divides, then sort descending."""
     distinct = set(gens)
     return tuple(sorted(
         (g for g in distinct if not any(h != g and h.divides(g) for h in distinct)),
@@ -206,8 +221,8 @@ def test_ideal_reduction_matches_pairwise_divisibility(gens, data):
     first = gens[0]
     twin = data.draw(st.sampled_from(invariant_sections(3, first.degree)))
     gens = [*gens, first, twin]
-    assert MonomialIdeal(gens).generators == _pairwise_reduction(gens)
-    assert MonomialIdeal(reversed(gens)).generators == _pairwise_reduction(gens)
+    assert MonomialIdeal(gens) == _pairwise_reduction(gens)
+    assert MonomialIdeal(reversed(gens)) == _pairwise_reduction(gens)
 
 
 def test_ideal_rejects_negative_and_noninvariant():
@@ -279,7 +294,7 @@ def test_ideal_twist_matches_scan(h3_points, h4_points):
     repring._multiples.cache_clear()
     for k in range(8):
         for ideal in HAND_IDEALS:
-            for I in [ideal, *(MonomialIdeal(g.remap(perm, 5) for g in ideal.generators) for perm in PERM_H.values())]:
+            for I in [ideal, *(MonomialIdeal(g.remap(perm, 5) for g in ideal) for perm in PERM_H.values())]:
                 assert ideal_twist(I, k) == _scan_twist(I, k), (I, k)
 
 
