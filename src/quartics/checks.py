@@ -141,6 +141,11 @@ def run_checks(
         else f"{' and '.join(map(str, accepted))} accepted",
     )
 
+    if (zero := bott.find_zero_weight(h4, bott.DEFAULT_WEIGHTS)) is not None:
+        detail = (f"weights {bott.DEFAULT_WEIGHTS} give zero weight on tangent monomial "
+                  f"{zero[1]} at fixed point {zero[0].label}")
+        check("weight-independence", False, detail)
+        return results
     reference = bott.bott_sum(h4, bott.DEFAULT_WEIGHTS).value
     values = set()
     for seed in range(base_seed, base_seed + VERIFY_SEED_COUNT):

@@ -16,10 +16,12 @@ parameterized by a smooth compactification built in three stages:
 This yields 126 fixed points (12 + 42 + 72), each a monomial ideal with a
 10-dimensional tangent representation.  A quartic in P(2,1,1,1,1) spans an
 invariant hyperplane {x_i = 0}, i in 1..4, so the component for the full
-space fibers over the dual projective 3-space: re-embedding the 126 points
-into each hyperplane and adding the hyperplane's tangent directions gives
-504 fixed points with 13-dimensional tangent spaces and 13-dimensional
-fibers of the pushed-forward degree-6 bundle.
+space fibers over the dual projective 3-space.  Inserting x_i's zero
+exponent into each character embeds the 126 points into {x_i = 0}; they
+are closed under permutations of x1, x2, x3, so no relabeling convention
+is needed.  Adding the hyperplane's tangent directions gives 504 fixed
+points with 13-dimensional tangent spaces and 13-dimensional fibers of
+the pushed-forward degree-6 bundle.
 
 Blow-up tangent spaces follow the standard decomposition at a fixed point
 x_xi of the exceptional divisor over a center point x:
@@ -52,18 +54,6 @@ STAGES = (STAGE_GRASSMANNIAN, STAGE_BLOWUP1, STAGE_BLOWUP2)
 #: Twisting degree of the fibers: the Calabi-Yau hypersurface has weighted
 #: degree 6, so curve counts come from the degree-6 bundle.
 DEGREE = 6
-
-#: Hyperplane index -> where the four P(2,1,1,1) characters (x0,x1,x2,x3)
-#: land among the five P(2,1,1,1,1) characters.  The hyperplane {x_i = 0}
-#: receives the remaining weight-one coordinates in cyclic order.  Any
-#: table that fixes x0 and sends x1,x2,x3 onto the three weight-one
-#: characters other than x_i yields the same localization sum.
-PERM_H: dict[int, tuple[int, int, int, int]] = {
-    1: (0, 2, 3, 4),
-    2: (0, 3, 4, 1),
-    3: (0, 4, 1, 2),
-    4: (0, 1, 2, 3),
-}
 
 
 class FixedPoint(NamedTuple):
@@ -415,14 +405,16 @@ def enumerate_h3() -> list[FixedPoint]:
 def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     """The 504 fixed points of the P(2,1,1,1,1) component.
 
-    Re-embeds each of the 126 points into each invariant hyperplane
-    {x_i = 0}, i in 1..4, along `PERM_H`; the ideal gains the generator
-    x_i, the tangent space gains the hyperplane's three directions
-    x_j / x_i (j in 1..4, j != i), and the fiber is recomputed in the
-    five-character ring.  The remapped generators and x_i make up one
-    ideal, reduced once.  The 126 points share most of their characters,
-    so each hyperplane remaps each distinct character once, into one map,
-    and each tangent is the carried characters and the directions, sorted.
+    Embeds each of the 126 points into each invariant hyperplane
+    {x_i = 0}, i in 1..4, by inserting x_i's zero exponent into every
+    character, as the hyperplane's coordinates are x0..x4 without x_i;
+    no other order of x1, x2, x3 would change the points.  The ideal gains
+    the generator x_i, the tangent space the hyperplane's three directions
+    x_j / x_i (j != i), and the fiber is recomputed in the five-character
+    ring.  The carried generators and x_i make up one ideal, reduced once.
+    Each hyperplane carries each distinct character of the 126 points once,
+    into one map; each tangent is the carried characters and the
+    directions, sorted.
     """
     if len(h3) != 126:
         raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
@@ -430,7 +422,7 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
-        carried = {m: m.remap(PERM_H[i], 5) for m in characters}.__getitem__
+        carried = {m: LaurentMonomial((*m[:i], 0, *m[i:])) for m in characters}.__getitem__
         directions = [x_j / x_i for x_j in linear if x_j != x_i]
         for point in h3:
             ideal = MonomialIdeal([*map(carried, point.ideal), x_i])

@@ -29,7 +29,7 @@ values are immutable and all operations are pure.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import lru_cache, reduce
 from itertools import filterfalse
 
@@ -106,14 +106,6 @@ class LaurentMonomial(tuple):
         self._require_same_ring(other)
         return LaurentMonomial(map(min, self, other))
 
-    def remap(self, perm: Sequence[int], nvars: int) -> "LaurentMonomial":
-        """Carry the monomial into a ring of `nvars` characters, where
-        character i becomes character perm[i]."""
-        exps = [0] * nvars
-        for i, e in zip(perm, self, strict=True):
-            exps[i] += e
-        return LaurentMonomial(exps)
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
@@ -150,6 +142,8 @@ class MonomialIdeal(tuple):
 
     def __new__(cls, generators: Iterable[LaurentMonomial]) -> "MonomialIdeal":
         gens = list(dict.fromkeys(generators))
+        if not gens:
+            raise ValueError("empty ideal has no ring context")
         counts = set(map(len, gens))
         if len(counts) > 1:
             raise ValueError(f"mismatched character counts: {sorted(counts)}")
@@ -171,8 +165,6 @@ class MonomialIdeal(tuple):
 
     @property
     def nvars(self) -> int:
-        if not self:
-            raise ValueError("empty ideal has no ring context")
         return len(self[0])
 
     def contains(self, monomial: LaurentMonomial) -> bool:
@@ -266,6 +258,4 @@ def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """
     if k < 0:
         raise ValueError(f"negative degree: {k}")
-    if not I:
-        raise ValueError("empty ideal has no ring context")
     return frozenset().union(*(_multiples(g, k) for g in I))

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -34,6 +34,15 @@ def parse_monomial(text: str, nvars: int) -> LaurentMonomial:
             if match is None or int(match[1]) >= nvars:
                 raise ValueError(f"malformed monomial: {text!r}")
             exps[int(match[1])] += int(match[2] or 1)
+    return LaurentMonomial(exps)
+
+
+def remap(m: LaurentMonomial, perm: Sequence[int], nvars: int) -> LaurentMonomial:
+    """Carry a monomial into a ring of `nvars` characters, where character i
+    becomes character perm[i]: the relabelings the symmetry tests apply."""
+    exps = [0] * nvars
+    for i, e in zip(perm, m, strict=True):
+        exps[i] += e
     return LaurentMonomial(exps)
 
 

@@ -373,19 +373,36 @@ def test_verify_reports_a_direction_with_no_closed_form(h3_points, h4_points, ca
     assert oracle["detail"].endswith("), no closed form")
 
 
-@pytest.mark.parametrize("copies", [1, 2], ids=["tangent", "repeated"])
-def test_verify_names_the_first_bad_character(copies, h3_points, h4_points):
-    # One h3 point gains the trivial tangent character in place of `copies`
-    # of its own.  Dimensions, ranks and the h4 points are untouched, so
-    # only tangent-characters fails, and its detail names the point, the
-    # character and its multiplicity.
-    point = h3_points[5]
-    bad = point._replace(tangent=point.tangent[copies:] + (mono("1"),) * copies)
-    expected = f"tangent character 1 with multiplicity {copies} at {point.label}"
-    mutated = [bad if p is point else p for p in h3_points]
-    with prebuilt(mutated, h4_points):
-        results = checks.run_checks()
-    assert [(r.name, r.detail) for r in results if not r.ok] == [("tangent-characters", expected)]
+@pytest.mark.parametrize(
+    ("copies", "stage"),
+    [(1, "h3"), (2, "h3"), (1, "h4"), (2, "h4")],
+    ids=["tangent", "repeated", "h4-tangent", "h4-repeated"],
+)
+def test_verify_names_the_first_bad_character(copies, stage, h3_points, h4_points, capsys):
+    # One point gains the trivial tangent character in place of `copies`
+    # of its own.  Dimensions and ranks are untouched, so tangent-characters
+    # fails, and its detail names the point, the character and its
+    # multiplicity.  On an h4 point the trivial character also zeroes a
+    # weight of the Bott sum at the default weights: weight-independence
+    # then fails naming it, where the sum would raise out of verify.
+    points = {"h3": h3_points, "h4": h4_points}[stage]
+    point = points[5]
+    trivial = LaurentMonomial((0,) * len(point.tangent[0]))
+    bad = point._replace(tangent=point.tangent[copies:] + (trivial,) * copies)
+    mutated = [bad if p is point else p for p in points]
+    expected = [f"FAIL  tangent-characters: tangent character 1 with multiplicity "
+                f"{copies} at {point.label}"]
+    if stage == "h4":
+        expected.append(f"FAIL  weight-independence: weights {DEFAULT_WEIGHTS} give zero "
+                        f"weight on tangent monomial 1 at fixed point {point.label}")
+        h4_points = mutated
+    else:
+        h3_points = mutated
+    with prebuilt(h3_points, h4_points):
+        code, out, err = run(["verify"], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected
+    assert err == f"{len(expected)} of 10 checks failed\n"
 
 
 def test_verify_names_accepted_degenerate_weights(h3_points, h4_points, monkeypatch):

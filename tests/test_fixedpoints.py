@@ -6,11 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from conftest import fixed_point_from_record, parse_monomial, record_dict
+from conftest import fixed_point_from_record, parse_monomial, record_dict, remap
 from quartics import fixedpoints
-from quartics.bott import DEFAULT_WEIGHTS, bott_sum, validate_weights
 from quartics.fixedpoints import (
-    PERM_H,
     STAGE_BLOWUP1,
     STAGE_BLOWUP2,
     STAGE_GRASSMANNIAN,
@@ -49,7 +47,7 @@ def ideal(*texts: str) -> MonomialIdeal:
 
 
 def permute_ideal(I: MonomialIdeal, images: tuple[int, int, int]) -> MonomialIdeal:
-    return MonomialIdeal(g.remap((0, *images), 4) for g in I)
+    return MonomialIdeal(remap(g, (0, *images), 4) for g in I)
 
 
 def ambient_tangent(I: MonomialIdeal) -> Counter[LaurentMonomial]:
@@ -174,9 +172,9 @@ def test_stage2_centers_match_typed_rows():
         for images in permutations((1, 2, 3)):
             perm = (0, *images)
             typed.add((
-                MonomialIdeal(mono(g).remap(perm, 4) for g in gens),
-                mono(lcm).remap(perm, 4),
-                tuple(sorted((mono(t).remap(perm, 4) for t in tangent), reverse=True)),
+                MonomialIdeal(remap(mono(g), perm, 4) for g in gens),
+                remap(mono(lcm), perm, 4),
+                tuple(sorted((remap(mono(t), perm, 4) for t in tangent), reverse=True)),
             ))
     derived = [
         (c.base_ideal, c.lcm_base, tuple(sorted(c.tangent_to_center.elements(), reverse=True)))
@@ -472,6 +470,22 @@ def test_h3_orbit_partition(h3_points):
     assert sorted(len(o) for o in orbits[STAGE_GRASSMANNIAN]) == [3, 3, 3, 3]
     assert sorted(len(o) for o in orbits[STAGE_BLOWUP1]) == [6] * 7
     assert sorted(len(o) for o in orbits[STAGE_BLOWUP2]) == [6] * 12
+    # The points themselves, tangents and fibers included, are closed under
+    # the same relabelings.  `assemble_h4` rests on this: it embeds x1, x2,
+    # x3 in order into each hyperplane, and any other order would give the
+    # same 504 points.
+    points = {(p.stage, p.ideal, p.tangent, p.fiber) for p in h3_points}
+    for images in permutations((1, 2, 3)):
+        perm = (0, *images)
+
+        def carry(characters):
+            return tuple(sorted((remap(m, perm, 4) for m in characters), reverse=True))
+
+        relabeled = {
+            (stage, permute_ideal(I, images), carry(tangent), carry(fiber))
+            for stage, I, tangent, fiber in points
+        }
+        assert relabeled == points, images
 
 
 def test_h3_lemma_holds_everywhere(h3_points):
@@ -524,64 +538,38 @@ def test_assemble_rejects_wrong_input_size(h3_points):
         assemble_h4(h3_points[:10])
 
 
-#: A second hyperplane table: each hyperplane's weight-one characters in
-#: reverse cyclic order.
+#: Two hyperplane tables, index i -> where the four P(2,1,1,1) characters
+#: (x0, x1, x2, x3) land among the five of P(2,1,1,1,1): the weight-one
+#: characters other than x_i in cyclic order, and in reverse cyclic order.
+CYCLIC_PERM_H = {1: (0, 2, 3, 4), 2: (0, 3, 4, 1), 3: (0, 4, 1, 2), 4: (0, 1, 2, 3)}
 ALT_PERM_H = {1: (0, 4, 3, 2), 2: (0, 1, 4, 3), 3: (0, 2, 1, 4), 4: (0, 3, 2, 1)}
 
 
-def test_relabeled_assembly_gives_the_same_count(h3_points, monkeypatch):
-    # The hyperplane/character correspondence is a convention: any
-    # bijective relabeling of the weight-one characters yields the same
-    # localization value.  In fact the 126 points are closed under
-    # relabeling x1,x2,x3 and all attached data is equivariant, so the
-    # assembled point set is identical and the sum follows.
-    default = assemble_h4(h3_points)
-    monkeypatch.setattr(fixedpoints, "PERM_H", ALT_PERM_H)
-    relabeled = assemble_h4(h3_points)
-    assert set(relabeled) == set(default)
-    assert validate_weights(relabeled, DEFAULT_WEIGHTS)
-    assert (
-        bott_sum(relabeled, DEFAULT_WEIGHTS).value
-        == bott_sum(default, DEFAULT_WEIGHTS).value
-    )
-
-
-def test_assembly_reads_the_hyperplane_table_when_called(h3_points, h4_points, monkeypatch):
-    # Every valid table gives the same 504 points, so only an invalid one
-    # shows which table `assemble_h4` read: this one lands hyperplane 1's
-    # points on x1.  Those 126 points all change and the other 378 do not;
-    # a table bound when the module was imported would change none.
-    monkeypatch.setattr(fixedpoints, "PERM_H", {**PERM_H, 1: PERM_H[4]})
-    moved = assemble_h4(h3_points)
-    on_1 = [p for p in moved if p.hyperplane == 1]
-    assert len(on_1) == 126
-    assert not set(on_1) & set(h4_points)
-    assert [p for p in moved if p.hyperplane != 1] == [p for p in h4_points if p.hyperplane != 1]
-
-
-def _direct_h4(h3_points):
-    """Oracle for `assemble_h4`: each point re-embedded on its own, its
-    tangent remapped as a representation and its fiber computed from its
-    ideal."""
+def _direct_h4(h3_points, perm_h):
+    """Oracle for `assemble_h4`: each point re-embedded on its own along the
+    hyperplane table `perm_h`, its tangent remapped as a representation and
+    its fiber computed from its ideal."""
     linear = invariant_sections(4, 1)
     points = []
     for i, x_i in enumerate(linear, start=1):
-        perm = fixedpoints.PERM_H[i]
+        perm = perm_h[i]
         dual = Counter(x_j / x_i for x_j in linear if x_j != x_i)
         for p in h3_points:
-            ideal = MonomialIdeal([*(g.remap(perm, 5) for g in p.ideal), x_i])
-            carried = Counter(m.remap(perm, 5) for m in p.tangent)
+            ideal = MonomialIdeal([*(remap(g, perm, 5) for g in p.ideal), x_i])
+            carried = Counter(remap(m, perm, 5) for m in p.tangent)
             tangent = tuple(sorted((carried + dual).elements(), reverse=True))
             points.append(FixedPoint(p.stage, ideal, tangent, fiber_rep(ideal), i))
     return sorted(points, key=FixedPoint.sort_key)
 
 
-@pytest.mark.parametrize("perm_h", [PERM_H, ALT_PERM_H], ids=["default", "relabeled"])
-def test_assembly_matches_direct_construction(h3_points, perm_h, monkeypatch):
-    monkeypatch.setattr(fixedpoints, "PERM_H", perm_h)
-    assembled, direct = assemble_h4(h3_points), _direct_h4(h3_points)
-    assert len(assembled) == len(direct) == 504
-    for got, want in zip(assembled, direct):
+@pytest.mark.parametrize("perm_h", [CYCLIC_PERM_H, ALT_PERM_H], ids=["cyclic", "relabeled"])
+def test_assembly_matches_direct_construction(h3_points, h4_points, perm_h):
+    # Neither table agrees with the zero insertion of `assemble_h4` on all
+    # four hyperplanes, so the match also shows that the relabeling changes
+    # no point and no position.
+    direct = _direct_h4(h3_points, perm_h)
+    assert len(h4_points) == len(direct) == 504
+    for got, want in zip(h4_points, direct):
         for field in ("stage", "hyperplane", "ideal", "tangent", "fiber"):
             assert getattr(got, field) == getattr(want, field), (want.label, field)
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_monomial
+from conftest import parse_monomial, remap
 from quartics import repring
-from quartics.fixedpoints import PERM_H, _characters, _difference
+from quartics.fixedpoints import _characters, _difference
 from quartics.repring import (
     LaurentMonomial,
     MonomialIdeal,
@@ -90,6 +90,9 @@ def test_ideal_is_its_generator_tuple():
     assert mono("x1*x2") in I
     assert mono("x1^2*x2") not in I
     assert I.contains(mono("x1^2*x2"))
+    # An ideal has at least one generator, which fixes its ring.
+    with pytest.raises(ValueError, match="empty ideal"):
+        MonomialIdeal([])
 
 
 def test_monomial_queries():
@@ -271,8 +274,9 @@ def test_ideal_twist_monotone():
 
 
 def test_ideal_twist_rejects_bad_input():
-    # An empty ideal has no ring, and no slice has negative degree; a bare
-    # union of the sets of multiples would be empty in both cases.
+    # An empty ideal has no ring, so it cannot be built, and no slice has
+    # negative degree, where a bare union of the sets of multiples would be
+    # empty.
     with pytest.raises(ValueError):
         ideal_twist(MonomialIdeal([]), 6)
     with pytest.raises(ValueError):
@@ -291,10 +295,13 @@ def test_ideal_twist_matches_scan(h3_points, h4_points):
     # set of multiples cached for one of them would be served to the next
     # if the key missed the character count or the degree.  Degrees 0 and
     # 1 lie below some generators, whose sets must then be empty.
+    # Each hand ideal is also carried into the five-character ring, with
+    # x1, x2, x3 landing on three of x1..x4 in some order.
+    perms = ((0, 2, 3, 4), (0, 3, 4, 1), (0, 4, 1, 2), (0, 1, 2, 3))
     repring._multiples.cache_clear()
     for k in range(8):
         for ideal in HAND_IDEALS:
-            for I in [ideal, *(MonomialIdeal(g.remap(perm, 5) for g in ideal) for perm in PERM_H.values())]:
+            for I in [ideal, *(MonomialIdeal(remap(g, perm, 5) for g in ideal) for perm in perms)]:
                 assert ideal_twist(I, k) == _scan_twist(I, k), (I, k)
 
 
