@@ -132,6 +132,14 @@ def find_zero_weight(
     )
 
 
+def zero_weight_error(points: Sequence[FixedPoint], w: WeightVector) -> str | None:
+    """The message naming `find_zero_weight`'s witness, or None if there is none."""
+    if (bad := find_zero_weight(points, w)) is None:
+        return None
+    return (f"weights {tuple(w)} give zero weight on tangent monomial {bad[1]} "
+            f"at fixed point {bad[0].label}")
+
+
 def validate_weights(points: Sequence[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
     return find_zero_weight(points, w) is None

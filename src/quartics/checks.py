@@ -1,11 +1,16 @@
-"""The invariant suite that ``quartics verify`` reports, one result per check.
+"""The invariant suite that ``quartics verify`` reports: the table `CHECKS`
+of (name, check) pairs, each check a function from one `Build` to (ok, detail).
 
-Every layer is reached through its module attributes (``fixedpoints.enumerate_h3``,
-``bott.bott_sum``, ...), so a caller that replaces one of them sees every call.
+`run_checks` alone turns a ``ValueError`` or ``RuntimeError`` into a failed
+result, named ``build`` when the build raised, else after the check that
+raised, so the other checks still report.  Every layer is reached through
+its module attributes (``fixedpoints.enumerate_h3``, ``bott.bott_sum``, ...)
+at call time, so a caller that replaces one of them sees every call.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import bott, fixedpoints
@@ -20,144 +25,160 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def run_checks(
-    base_seed: int = 0, lo: int = bott.DEFAULT_RANGE[0], hi: int = bott.DEFAULT_RANGE[1]
-) -> list[CheckResult]:
-    """Run every invariant check."""
-    stage1 = fixedpoints.stage1_centers()
-    stage2 = fixedpoints.stage2_centers()
-    results: list[CheckResult] = []
+class Build(NamedTuple):
+    """What the checks share: the points, the centers and the weight search."""
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        results.append(CheckResult(name, ok, detail))
+    h3: list[fixedpoints.FixedPoint]
+    h4: list[fixedpoints.FixedPoint]
+    stage1: list[fixedpoints.BlowupCenterDatum]
+    stage2: list[fixedpoints.BlowupCenterDatum]
+    seeds: range
+    lo: int
+    hi: int
 
-    h3 = fixedpoints.enumerate_h3()
-    h4 = fixedpoints.assemble_h4(h3)
 
-    counts = fixedpoints.census(h3)
+def _census(b: Build) -> tuple[bool, str]:
+    counts = fixedpoints.census(b.h3)
     ok = (
-        len(h3) == 126
+        len(b.h3) == 126
         and counts == {"grassmannian": 12, "blowup1": 42, "blowup2": 72}
-        and len(h4) == 504
-        and all(
-            sum(1 for p in h4 if p.hyperplane == i) == 126 for i in range(1, 5)
-        )
+        and len(b.h4) == 504
+        and all(sum(1 for p in b.h4 if p.hyperplane == i) == 126 for i in range(1, 5))
     )
-    check(
-        "census",
-        ok,
+    return ok, (
         f"{counts['grassmannian']}/{counts['blowup1']}/{counts['blowup2']} = "
-        f"{len(h3)} points, {len(h4)} after hyperplane assembly",
+        f"{len(b.h3)} points, {len(b.h4)} after hyperplane assembly"
     )
 
-    dims3 = {len(p.tangent) for p in h3}
-    dims4 = {len(p.tangent) for p in h4}
-    check(
-        "tangent-dimensions",
-        dims3 == {10} and dims4 == {13},
-        f"tangent sums {sorted(dims3)} on 126 points, {sorted(dims4)} on 504",
-    )
 
-    ranks = {len(p.fiber) for p in h4}
-    check(
-        "fiber-ranks",
-        ranks == {13},
-        f"degree-6 fiber sums {sorted(ranks)} on all 504 points",
-    )
+def _tangent_dimensions(b: Build) -> tuple[bool, str]:
+    dims3 = {len(p.tangent) for p in b.h3}
+    dims4 = {len(p.tangent) for p in b.h4}
+    detail = f"tangent sums {sorted(dims3)} on 126 points, {sorted(dims4)} on 504"
+    return dims3 == {10} and dims4 == {13}, detail
 
+
+def _fiber_ranks(b: Build) -> tuple[bool, str]:
+    ranks = {len(p.fiber) for p in b.h4}
+    return ranks == {13}, f"degree-6 fiber sums {sorted(ranks)} on all 504 points"
+
+
+def _tangent_characters(b: Build) -> tuple[bool, str]:
     # The build rejects a negative multiplicity, so only a trivial
     # character can be wrong here.
     bad_character = next(
         (f"tangent character {m} with multiplicity {p.tangent.count(m)} at {p.label}"
-         for p in h3 + h4
+         for p in b.h3 + b.h4
          for m in p.tangent
          if m.is_trivial()),
         "",
     )
-    check(
-        "tangent-characters",
-        not bad_character,
-        bad_character or "no trivial character, all multiplicities >= 1",
-    )
+    return not bad_character, bad_character or "no trivial character, all multiplicities >= 1"
 
-    # At every center, the ambient tangent minus the center tangent is the
-    # stored normal space: 6 distinct degree-0 characters of multiplicity 1.
-    for name, centers, ambient, source in (
-        ("stage1-tables", stage1, fixedpoints.grassmann_tangent, "Hom(I, V[2]/I)"),
-        ("stage2-tables", stage2,
-         lambda base: fixedpoints.stage2_composed_tangent(base, stage1),
-         "the blow-up composition"),
-    ):
-        bad = []
-        for c in centers:
-            normal = ambient(c.base_ideal)
-            normal.subtract(c.tangent_to_center)  # keeps what `-` would drop
-            stored = c.normal_basis
-            off = next((m for m in sorted(normal.keys() | stored.keys(), reverse=True)
-                        if (normal[m], stored[m]) not in ((0, 0), (1, 1))), None)
-            if off is not None:
-                bad.append(f"{c.base_ideal}: {off} has multiplicity {normal[off]} in "
-                           f"{source} minus the center tangent, {stored[off]} stored")
-            elif stored.total() != 6 or any(m.degree for m in stored if stored[m]):
-                bad.append(f"{c.base_ideal}: not 6 degree-0 characters")
-        check(
-            name,
-            not bad,
-            f"{source} minus the center tangent is the stored normal space, "
-            f"6 distinct degree-0 characters, at {len(centers)} centers"
-            if not bad
-            else f"mismatch at {'; '.join(bad)}",
-        )
 
+def _center_tables(centers, ambient, source: str) -> tuple[bool, str]:
+    """At every center, the ambient tangent minus the center tangent is the
+    stored normal space: 6 distinct degree-0 characters of multiplicity 1."""
+    bad = []
+    for c in centers:
+        normal = ambient(c.base_ideal)
+        normal.subtract(c.tangent_to_center)  # keeps what `-` would drop
+        stored = c.normal_basis
+        off = next((m for m in sorted(normal.keys() | stored.keys(), reverse=True)
+                    if (normal[m], stored[m]) not in ((0, 0), (1, 1))), None)
+        if off is not None:
+            bad.append(f"{c.base_ideal}: {off} has multiplicity {normal[off]} in "
+                       f"{source} minus the center tangent, {stored[off]} stored")
+        elif stored.total() != 6 or any(m.degree for m in stored if stored[m]):
+            bad.append(f"{c.base_ideal}: not 6 degree-0 characters")
+    if bad:
+        return False, f"mismatch at {'; '.join(bad)}"
+    return True, (f"{source} minus the center tangent is the stored normal space, "
+                  f"6 distinct degree-0 characters, at {len(centers)} centers")
+
+
+def _stage1_tables(b: Build) -> tuple[bool, str]:
+    return _center_tables(b.stage1, fixedpoints.grassmann_tangent, "Hom(I, V[2]/I)")
+
+
+def _stage2_tables(b: Build) -> tuple[bool, str]:
+    ambient = partial(fixedpoints.stage2_composed_tangent, stage1=b.stage1)
+    return _center_tables(b.stage2, ambient, "the blow-up composition")
+
+
+def _flat_limit_oracle(b: Build) -> tuple[bool, str]:
     mismatches = []
     directions = 0
-    for center in stage1 + stage2:
+    for center in b.stage1 + b.stage2:
         mismatches += [(center.base_ideal, *m) for m in fixedpoints.center_oracle_agreement(center)]
         directions += len(+center.normal_basis)
-    detail = f"flat limits match closed-form ideals in {directions} directions"
-    if mismatches:
-        base, mu, limit, closed = mismatches[0]
-        closed = "no closed form" if closed is None else f"closed form {closed}"
-        plural = "" if len(mismatches) == 1 else "es"
-        detail = (f"{len(mismatches)} mismatch{plural}, first: center {base}, "
-                  f"direction {mu}: flat limit {limit}, {closed}")
-    check("flat-limit-oracle", not mismatches, detail)
+    if not mismatches:
+        return True, f"flat limits match closed-form ideals in {directions} directions"
+    base, mu, limit, closed = mismatches[0]
+    closed = "no closed form" if closed is None else f"closed form {closed}"
+    plural = "" if len(mismatches) == 1 else "es"
+    return False, (f"{len(mismatches)} mismatch{plural}, first: center {base}, "
+                   f"direction {mu}: flat limit {limit}, {closed}")
 
-    failing = [p.ideal for p in h3 if not fixedpoints.lemma_injectivity_check(p.ideal)]
-    check(
-        "injectivity-lemma",
-        not failing,
-        "cubic-multiplier condition holds for all 126 ideals"
-        if not failing
-        else f"fails at {failing[:3]}",
-    )
 
-    accepted = [w for w in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1)) if bott.validate_weights(h4, w)]
-    check(
-        "degenerate-weights",
-        not accepted,
-        "(0,0,0,0,0) and (1,1,1,1,1) are rejected"
-        if not accepted
-        else f"{' and '.join(map(str, accepted))} accepted",
-    )
+def _injectivity_lemma(b: Build) -> tuple[bool, str]:
+    failing = [p.ideal for p in b.h3 if not fixedpoints.lemma_injectivity_check(p.ideal)]
+    if failing:
+        return False, f"fails at {failing[:3]}"
+    return True, "cubic-multiplier condition holds for all 126 ideals"
 
-    if (zero := bott.find_zero_weight(h4, bott.DEFAULT_WEIGHTS)) is not None:
-        detail = (f"weights {bott.DEFAULT_WEIGHTS} give zero weight on tangent monomial "
-                  f"{zero[1]} at fixed point {zero[0].label}")
-        check("weight-independence", False, detail)
-        return results
-    reference = bott.bott_sum(h4, bott.DEFAULT_WEIGHTS).value
-    values = set()
-    for seed in range(base_seed, base_seed + VERIFY_SEED_COUNT):
-        w, _ = bott.random_weight_search(seed, lo, hi, h4)
-        values.add(bott.bott_sum(h4, w).value)
-    ok = values == {reference} and reference.denominator == 1
-    check(
-        "weight-independence",
-        ok,
-        f"{VERIFY_SEED_COUNT} random weight vectors in [{lo}, {hi}] all give {reference}"
-        if ok
-        else f"values {sorted(values)} vs default {reference}",
-    )
 
+def _degenerate_weights(b: Build) -> tuple[bool, str]:
+    accepted = [w for w in ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1)) if bott.validate_weights(b.h4, w)]
+    if accepted:
+        return False, f"{' and '.join(map(str, accepted))} accepted"
+    return True, "(0,0,0,0,0) and (1,1,1,1,1) are rejected"
+
+
+def _weight_independence(b: Build) -> tuple[bool, str]:
+    if (zero := bott.zero_weight_error(b.h4, bott.DEFAULT_WEIGHTS)) is not None:
+        return False, zero
+    reference = bott.bott_sum(b.h4, bott.DEFAULT_WEIGHTS).value
+    for seed in b.seeds:
+        w, _ = bott.random_weight_search(seed, b.lo, b.hi, b.h4)
+        if (value := bott.bott_sum(b.h4, w).value) != reference:
+            return False, f"seed {seed}: weights {w} give {value}, default {reference}"
+    detail = f"{len(b.seeds)} random weight vectors in [{b.lo}, {b.hi}] all give {reference}"
+    return reference.denominator == 1, detail
+
+
+#: The suite in report order.  `bott` holds the compiled form of one point
+#: sequence, so a check that calls it stays next to the others on the same points.
+CHECKS = (
+    ("census", _census),
+    ("tangent-dimensions", _tangent_dimensions),
+    ("fiber-ranks", _fiber_ranks),
+    ("tangent-characters", _tangent_characters),
+    ("stage1-tables", _stage1_tables),
+    ("stage2-tables", _stage2_tables),
+    ("flat-limit-oracle", _flat_limit_oracle),
+    ("injectivity-lemma", _injectivity_lemma),
+    ("degenerate-weights", _degenerate_weights),
+    ("weight-independence", _weight_independence),
+)
+
+
+def run_checks(
+    base_seed: int = 0, lo: int = bott.DEFAULT_RANGE[0], hi: int = bott.DEFAULT_RANGE[1]
+) -> list[CheckResult]:
+    """Build the points and centers once, then run every check of `CHECKS`."""
+    try:
+        stage1, stage2 = fixedpoints.stage1_centers(), fixedpoints.stage2_centers()
+        h3 = fixedpoints.enumerate_h3()
+        build = Build(h3, fixedpoints.assemble_h4(h3), stage1, stage2,
+                      range(base_seed, base_seed + VERIFY_SEED_COUNT), lo, hi)
+    except (ValueError, RuntimeError) as exc:
+        # A build that breaks one of its own invariants fails the suite.
+        return [CheckResult("build", False, f"{type(exc).__name__}: {exc}")]
+    results = []
+    for name, check in CHECKS:
+        try:
+            results.append(CheckResult(name, *check(build)))
+        except (ValueError, RuntimeError) as exc:
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

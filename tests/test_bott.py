@@ -21,6 +21,7 @@ from quartics.bott import (
     random_weight_search,
     validate_weights,
     weight_of,
+    zero_weight_error,
 )
 from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN
 from quartics.repring import LaurentMonomial, MonomialIdeal
@@ -104,6 +105,16 @@ def test_find_zero_weight_names_the_witness(h4_points):
     point, monomial = find_zero_weight(h4_points, (1, 1, 1, 1, 1))
     assert monomial in point.tangent
     assert weight_of(monomial, (1, 1, 1, 1, 1)) == 0
+
+
+def test_zero_weight_error_names_the_witness(h4_points):
+    # One text for `count --weights` and for the verify suite; any sequence
+    # of weights is named as a tuple.
+    assert zero_weight_error(h4_points, DEFAULT_WEIGHTS) is None
+    assert zero_weight_error(h4_points, [1, 1, 1, 1, 1]) == (
+        "weights (1, 1, 1, 1, 1) give zero weight on tangent monomial x2^-1*x3 "
+        "at fixed point h1:grassmannian:(x0^2, x1, x2^2)"
+    )
 
 
 def test_random_weight_search_is_deterministic(h4_points):

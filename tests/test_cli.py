@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -414,6 +415,68 @@ def test_verify_names_accepted_degenerate_weights(h3_points, h4_points, monkeypa
     ]
 
 
+def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
+    # A stage-1 center whose stored normal space also holds the degree-1
+    # character x1.  The build still succeeds; the flat-limit oracle raises
+    # on that direction and fails under its own name, while every other
+    # check reports, stage1-tables naming the center.
+    centers = stage1_centers()
+    real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2)")
+    faulty = real._replace(normal_basis=real.normal_basis + lines("x1"))
+    monkeypatch.setattr(
+        fixedpoints, "stage1_centers", lambda: [faulty if c is real else c for c in centers]
+    )
+    code, out, err = run(["verify", "--json"], capsys)
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert "Traceback" not in err
+    results = {r["name"]: r for r in json.loads(out)}
+    assert list(results) == [name for name, _ in checks.CHECKS]
+    assert [name for name, r in results.items() if not r["ok"]] == [
+        "tangent-dimensions", "stage1-tables", "stage2-tables", "flat-limit-oracle",
+        "weight-independence",
+    ]
+    assert results["flat-limit-oracle"]["detail"] == (
+        "ValueError: direction must have degree 0: x1"
+    )
+    assert results["stage1-tables"]["detail"] == (
+        "mismatch at (x1^2, x1*x2): x1 has multiplicity 0 in Hom(I, V[2]/I) "
+        "minus the center tangent, 1 stored"
+    )
+    # The first seed whose sum differs, by its weights and value, against
+    # the default weights' value.
+    detail = results["weight-independence"]["detail"]
+    assert re.fullmatch(r"seed 0: weights \([\d, ]+\) give -?[\d/]+, default -?[\d/]+", detail)
+
+
+def test_run_checks_builds_once(h3_points, h4_points, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(fixedpoints, "enumerate_h3", counted("enumerate_h3", lambda: h3_points))
+    monkeypatch.setattr(fixedpoints, "assemble_h4", counted("assemble_h4", lambda h3: h4_points))
+    for name in ("stage1_centers", "stage2_centers"):
+        monkeypatch.setattr(fixedpoints, name, counted(name, getattr(fixedpoints, name)))
+    results = checks.run_checks()
+    assert [r.name for r in results if not r.ok] == []
+    assert calls == dict.fromkeys(
+        ("enumerate_h3", "assemble_h4", "stage1_centers", "stage2_centers"), 1
+    )
+
+
+def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
+    # The library call itself, not only `verify`, reports the build error
+    # as one failed result.
+    monkeypatch.setattr(fixedpoints, "enumerate_h3", lambda: h3_points[:125])
+    [result] = checks.run_checks()
+    assert (result.name, result.ok) == ("build", False)
+    assert "125" in result.detail
+
+
 def test_importing_checks_leaves_cli_unloaded():
     # `python -m quartics.cli` runs cli as __main__; a checks -> cli import
     # would load a second cli module with its own ConfigError.  The sweep
@@ -446,7 +509,7 @@ def test_count_imports_neither_dataclasses_nor_inspect():
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_checks", lambda *a, **k: [cli.CheckResult("census", False, "broken")]
+        cli, "run_checks", lambda *a, **k: [checks.CheckResult("census", False, "broken")]
     )
     code, out, err = run(["verify"], capsys)
     assert code == 1
