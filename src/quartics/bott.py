@@ -18,14 +18,21 @@ overflow 64-bit integers.  Each point holds its fiber and tangent
 characters as tuples, each character repeated by its multiplicity.
 
 A point sequence is compiled once: its distinct characters (395 on the
-504 points), the set of its distinct tangent characters (280), and each
-point's tangent and fiber as positions into the characters.  One compiled
-form is held, and a call reuses it when it passes the same point objects
-in the same order, so a sweep over weight vectors builds nothing.  A sum
-specializes each distinct character once, multiplies by position, and
-adds the terms over one common denominator, the lcm L of the tangent
-products: sum n_p / d_p = (sum n_p * (L / d_p)) / L, with a single gcd at
-the end.
+504 points), the set of its distinct tangent characters (280), each
+point's tangent and fiber as positions into the characters, and the
+points grouped by hyperplane.  One compiled form is held, and a call
+reuses it when it passes the same point objects in the same order, so a
+sweep over weight vectors builds nothing.  A sum specializes each
+distinct character once and multiplies by position.  It adds each
+group's terms over that group's own common denominator, the lcm L_g of
+its tangent products, sum n_p / d_p = (sum n_p * (L_g / d_p)) / L_g, then
+adds the group sums the same way over the lcm of the L_g, with a single
+gcd at the end.  Every tangent in hyperplane i holds the three directions
+x_j / x_i, and its other characters use four of the five weights, so L_g
+has about half the bits of the lcm of all 504 products (a median of
+about 600 against 1150 for weights up to 10^4; 126 points drawn at
+random give about 990), and the lcm and the quotients L_g / d_p cost
+less by as much.
 """
 
 from __future__ import annotations
@@ -89,16 +96,19 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
 class _Compiled(NamedTuple):
     """A point sequence with its characters numbered; `tangents[i]` and
     `fibers[i]` are point i's characters as positions into `characters`.
-    Usability depends on `tangent_characters` alone."""
+    `groups` holds the indices of the points of each hyperplane, in
+    first-seen order; the points without one make one group.  Usability
+    depends on `tangent_characters` alone."""
 
     points: tuple[FixedPoint, ...]
     characters: tuple[LaurentMonomial, ...]
     tangent_characters: frozenset[LaurentMonomial]
     tangents: tuple[tuple[int, ...], ...]
     fibers: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[int, ...], ...]
 
 
-_held = _Compiled((), (), frozenset(), (), ())
+_held = _Compiled((), (), frozenset(), (), (), ())
 
 
 def _compile(points: Iterable[FixedPoint]) -> _Compiled:
@@ -114,7 +124,11 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     tangents = tuple(tuple(map(positions.__getitem__, p.tangent)) for p in points)
     tangent_characters = frozenset(positions)
     fibers = tuple(tuple(map(positions.__getitem__, p.fiber)) for p in points)
-    _held = _Compiled(points, tuple(positions), tangent_characters, tangents, fibers)
+    groups: defaultdict[int | None, list[int]] = defaultdict(list)
+    for index, point in enumerate(points):
+        groups[point.hyperplane].append(index)
+    _held = _Compiled(points, tuple(positions), tangent_characters, tangents, fibers,
+                      tuple(map(tuple, groups.values())))
     return _held
 
 
@@ -177,13 +191,14 @@ def bott_sum(
     """Bott's localization sum in exact rational arithmetic.
 
     Sums (product of fiber weights) / (product of tangent weights) over the
-    fixed points, each weight repeated by its multiplicity, with the lcm of
-    the tangent products as the common denominator.  Each distinct
-    character of the compiled points (reused for the same point objects in
-    the same order) is specialized once, and products are taken over
-    positions.  `w` must pass `validate_weights` first; a zero tangent
-    product raises, naming the first such point in the given order.  Exact
-    arithmetic makes the result independent of summation order.
+    fixed points, each weight repeated by its multiplicity.  The points of
+    one hyperplane, or all those without one, are added over the lcm of
+    their tangent products, and the group sums over the lcm of those lcms.
+    Each distinct character of the compiled points (reused for the same
+    point objects in the same order) is specialized once, and products are
+    taken over positions.  `w` must pass `validate_weights` first; a zero
+    tangent product raises, naming the first such point in the given order.
+    Exact arithmetic makes the result independent of summation order.
     """
     compiled = _compile(points)
     weight = [weight_of(m, w) for m in compiled.characters].__getitem__
@@ -194,8 +209,12 @@ def bott_sum(
             f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
         )
     numerators = [math.prod(map(weight, f)) for f in compiled.fibers]
-    common = math.lcm(*denominators)
-    value = Fraction(sum(n * (common // d) for n, d in zip(numerators, denominators)), common)
+    sums, lcms = [], []
+    for group in compiled.groups:
+        lcms.append(common := math.lcm(*map(denominators.__getitem__, group)))
+        sums.append(sum(numerators[i] * (common // denominators[i]) for i in group))
+    common = math.lcm(*lcms)
+    value = Fraction(sum(s * (common // d) for s, d in zip(sums, lcms)), common)
     if not keep_terms:
         return LocalizationResult(value)
     terms = zip((p.label for p in compiled.points), map(Fraction, numerators, denominators))

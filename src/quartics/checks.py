@@ -144,7 +144,9 @@ def _weight_independence(b: Build) -> tuple[bool, str]:
         if (value := bott.bott_sum(b.h4, w).value) != reference:
             return False, f"seed {seed}: weights {w} give {value}, default {reference}"
     detail = f"{len(b.seeds)} random weight vectors in [{b.lo}, {b.hi}] all give {reference}"
-    return reference.denominator == 1, detail
+    if reference.denominator != 1:
+        return False, f"{detail}, which is not an integer"
+    return True, detail
 
 
 #: The suite in report order.  `bott` holds the compiled form of one point

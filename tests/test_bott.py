@@ -5,7 +5,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +23,8 @@ from quartics.bott import (
     weight_of,
     zero_weight_error,
 )
-from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN
-from quartics.repring import LaurentMonomial, MonomialIdeal
+from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN, fiber_rep, grassmann_tangent
+from quartics.repring import LaurentMonomial, MonomialIdeal, invariant_sections
 
 
 def mono(text: str, nvars: int = 5) -> LaurentMonomial:
@@ -266,6 +266,72 @@ def test_bott_sum_matches_the_per_point_oracle(h4_points):
         result = bott_sum(h4_points, w, keep_terms=True)
         assert (result.value, result.per_point_terms) == _oracle_bott_sum(h4_points, w)
         assert bott_sum(h4_points, w) == result._replace(per_point_terms=None)
+
+
+def _in_five_characters(point: FixedPoint) -> FixedPoint:
+    """An h3 point with x4's zero exponent appended to every character; it
+    keeps `hyperplane=None`, so it sums in a group of its own."""
+
+    def carried(characters):
+        return tuple(LaurentMonomial((*m, 0)) for m in characters)
+
+    return point._replace(
+        ideal=MonomialIdeal(carried(point.ideal)),
+        tangent=carried(point.tangent),
+        fiber=carried(point.fiber),
+    )
+
+
+@pytest.mark.parametrize("arrangement", ["h3", "h3+h4", "h4-reversed", "empty"])
+def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_points):
+    # The sum adds each hyperplane's points over their own lcm; the points
+    # without a hyperplane form one group, and groups come in first-seen order.
+    points, groups = {
+        "h3": (h3_points, [126]),
+        "h3+h4": ([*map(_in_five_characters, h3_points), *h4_points], [126] * 5),
+        "h4-reversed": (h4_points[::-1], [126] * 4),
+        "empty": ([], []),
+    }[arrangement]
+    assert list(map(len, bott._compile(points).groups)) == groups
+    vectors = [DEFAULT_WEIGHTS]
+    vectors += [random_weight_search(seed, 1, 10_000, h4_points)[0] for seed in range(5)]
+    for w in vectors:
+        # The h3 characters are the hyperplane-4 ones without x4.
+        w = w[:4] if arrangement == "h3" else w
+        result = bott_sum(points, w, keep_terms=True)
+        assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
+
+
+def _line_points() -> list[FixedPoint]:
+    """The 24 fixed points of the degree-1 curves on P(2,1,1,1,1), a
+    P^3-bundle over G(2, V[1]): the ideals (S, m), S two of x1..x4 and m one
+    of x0^2, u^2, u*v, v^2 for the other two linear forms u and v."""
+    linear = invariant_sections(4, 1)
+    points = []
+    for span in combinations(linear, 2):
+        u, v = (x for x in linear if x not in span)
+        quadrics = (mono("x0^2"), u * u, u * v, v * v)
+        for m in quadrics:
+            ideal = MonomialIdeal([*span, m])
+            tangent = grassmann_tangent(MonomialIdeal(span))
+            tangent.update(p / m for p in quadrics if p != m)
+            points.append(FixedPoint(
+                stage=STAGE_GRASSMANNIAN,
+                ideal=ideal,
+                tangent=tuple(sorted(tangent.elements(), reverse=True)),
+                fiber=fiber_rep(ideal),
+            ))
+    return points
+
+
+def test_bott_sum_counts_the_lines():
+    # A second space through the same layers: 7884 lines on the sextic.
+    points = _line_points()
+    assert len(points) == 24
+    assert {(len(p.tangent), len(p.fiber)) for p in points} == {(7, 7)}
+    vectors = [DEFAULT_WEIGHTS]
+    vectors += [random_weight_search(seed, 1, 10_000, points)[0] for seed in range(5)]
+    assert [bott_sum(points, w).value for w in vectors] == [Fraction(7884)] * 6
 
 
 def test_bott_sum_headline_value(h4_points):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -412,6 +413,17 @@ def test_verify_names_accepted_degenerate_weights(h3_points, h4_points, monkeypa
         results = checks.run_checks()
     assert [(r.name, r.detail) for r in results if not r.ok] == [
         ("degenerate-weights", "(0, 0, 0, 0, 0) and (1, 1, 1, 1, 1) accepted")
+    ]
+
+
+def test_verify_names_a_non_integer_count(h3_points, h4_points, monkeypatch):
+    # A sum that agrees across the weight vectors but is no integer counts no curves.
+    monkeypatch.setattr(bott, "bott_sum", lambda points, w: bott.LocalizationResult(Fraction(1, 2)))
+    with prebuilt(h3_points, h4_points):
+        results = checks.run_checks()
+    assert [(r.name, r.detail) for r in results if not r.ok] == [
+        ("weight-independence",
+         "10 random weight vectors in [1, 10000] all give 1/2, which is not an integer")
     ]
 
 
