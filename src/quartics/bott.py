@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import count
@@ -132,31 +133,38 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     return _held
 
 
-def find_zero_weight(
-    points: Sequence[FixedPoint], w: WeightVector
-) -> tuple[FixedPoint, LaurentMonomial] | None:
-    """First (fixed point, tangent monomial) specializing to weight 0.  The
-    points are walked in order only to name the witness once a distinct
-    character fails."""
-    compiled = _compile(points)
-    if all(weight_of(m, w) for m in compiled.tangent_characters):
-        return None
-    return next(
-        (p, m) for p in compiled.points for m in p.tangent if not weight_of(m, w)
-    )
+def _usable(compiled: _Compiled, w: WeightVector) -> bool:
+    """True iff `w` gives every distinct tangent character a nonzero weight."""
+    return all(weight_of(m, w) for m in compiled.tangent_characters)
 
 
 def zero_weight_error(points: Sequence[FixedPoint], w: WeightVector) -> str | None:
-    """The message naming `find_zero_weight`'s witness, or None if there is none."""
-    if (bad := find_zero_weight(points, w)) is None:
+    """None when `w` is usable, else a message naming the first (fixed point,
+    tangent character) of weight 0.  The points are walked in order only to
+    name that witness once a distinct character fails."""
+    compiled = _compile(points)
+    if _usable(compiled, w):
         return None
-    return (f"weights {tuple(w)} give zero weight on tangent monomial {bad[1]} "
-            f"at fixed point {bad[0].label}")
+    point, m = next((p, m) for p in compiled.points for m in p.tangent if not weight_of(m, w))
+    return (f"weights {tuple(w)} give zero weight on tangent monomial {m} "
+            f"at fixed point {point.label}")
 
 
 def validate_weights(points: Sequence[FixedPoint], w: WeightVector) -> bool:
     """True iff every tangent character of every point has nonzero weight."""
-    return find_zero_weight(points, w) is None
+    return _usable(_compile(points), w)
+
+
+def check_range(lo: int, hi: int) -> None:
+    """Raise ValueError unless [lo, hi] holds at least `MIN_RANGE_WIDTH`
+    integers and at most `sys.maxsize`, the most `random.sample` draws from.
+    The message names the range as the command line's ``--range LO HI``."""
+    if hi - lo + 1 < MIN_RANGE_WIDTH:
+        raise ValueError(f"--range {lo} {hi} holds fewer than {MIN_RANGE_WIDTH} integers; "
+                         f"no narrower range has a usable weight vector")
+    if hi - lo + 1 > sys.maxsize:
+        raise ValueError(f"--range {lo} {hi} holds more than {sys.maxsize} integers, "
+                         f"too many to sample from")
 
 
 def random_weight_search(
@@ -168,19 +176,18 @@ def random_weight_search(
     """Deterministic rejection sampling for a usable weight vector.
 
     Draws five distinct integers uniformly from [lo, hi] until the vector
-    passes `validate_weights`, tested once per distinct tangent character;
-    returns (weights, attempts).  The same seed always returns the same
-    vector.  Raises ValueError for a range of fewer than `MIN_RANGE_WIDTH`
-    integers and `WeightSearchExhausted` once `ATTEMPT_BUDGET` draws have
-    failed.
+    passes the test of `validate_weights`, once per distinct tangent
+    character; returns (weights, attempts).  The same seed always returns
+    the same vector.  Raises `check_range`'s ValueError for a range too
+    narrow or too wide and `WeightSearchExhausted` once `ATTEMPT_BUDGET`
+    draws have failed.
     """
-    if hi - lo + 1 < MIN_RANGE_WIDTH:
-        raise ValueError(f"range [{lo}, {hi}] holds fewer than {MIN_RANGE_WIDTH} integers")
-    characters = _compile(points).tangent_characters
+    check_range(lo, hi)
+    compiled = _compile(points)
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), 5))
-        if all(weight_of(m, w) for m in characters):
+        if _usable(compiled, w):
             return w, attempt
     raise WeightSearchExhausted(lo, hi)
 

@@ -123,12 +123,7 @@ def cmd_verify(args) -> int:
     lo, hi = args.range or bott.DEFAULT_RANGE
     results = run_checks(args.seed if args.seed is not None else 0, lo, hi)
     if args.json:
-        print(
-            json.dumps(
-                [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-                indent=2,
-            )
-        )
+        print(json.dumps([r._asdict() for r in results], indent=2))
     else:
         for r in results:
             print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")
@@ -197,17 +192,10 @@ def _check_args(args) -> None:
     if args.command == "count" and args.range is not None and args.seed is None:
         raise ConfigError("--range applies to count only with --seed")
     if getattr(args, "range", None) is not None:
-        lo, hi = args.range
-        if hi - lo + 1 < bott.MIN_RANGE_WIDTH:
-            raise ConfigError(
-                f"--range {lo} {hi} holds fewer than {bott.MIN_RANGE_WIDTH} integers; "
-                f"no narrower range has a usable weight vector"
-            )
-        if hi - lo + 1 > sys.maxsize:
-            raise ConfigError(
-                f"--range {lo} {hi} holds more than {sys.maxsize} integers, "
-                f"too many to sample from"
-            )
+        try:
+            bott.check_range(*args.range)
+        except ValueError as exc:
+            raise ConfigError(exc) from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

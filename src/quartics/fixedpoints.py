@@ -132,6 +132,19 @@ def _characters(rep: Counter[LaurentMonomial]) -> tuple[LaurentMonomial, ...]:
     return tuple(sorted(rep.elements(), reverse=True))
 
 
+def _fixed_point(
+    stage: str,
+    ideal: MonomialIdeal,
+    tangent: Iterable[LaurentMonomial],
+    hyperplane: int | None = None,
+) -> FixedPoint:
+    """The one constructor of the enumerated points: the tangent characters,
+    each repeated by its multiplicity, in canonical order, and the fiber of
+    `ideal`."""
+    tangent = tuple(sorted(tangent, reverse=True))
+    return FixedPoint(stage, ideal, tangent, fiber_rep(ideal), hyperplane)
+
+
 def grassmann_fixed_points() -> list[FixedPoint]:
     """The 12 fixed points of the Grassmannian stage: the unordered pairs
     of invariant quadric monomials with disjoint support.
@@ -144,12 +157,7 @@ def grassmann_fixed_points() -> list[FixedPoint]:
         if a.gcd(b).is_trivial():
             ideal = MonomialIdeal([a, b])
             points.append(
-                FixedPoint(
-                    stage=STAGE_GRASSMANNIAN,
-                    ideal=ideal,
-                    tangent=_characters(grassmann_tangent(ideal)),
-                    fiber=fiber_rep(ideal),
-                )
+                _fixed_point(STAGE_GRASSMANNIAN, ideal, grassmann_tangent(ideal).elements())
             )
     return points
 
@@ -259,12 +267,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
         if ideal.has_common_factor():
             continue
         points.append(
-            FixedPoint(
-                stage=center.stage,
-                ideal=ideal,
-                tangent=_characters(blowup_point_tangent(center, mu)),
-                fiber=fiber_rep(ideal),
-            )
+            _fixed_point(center.stage, ideal, blowup_point_tangent(center, mu).elements())
         )
     return points
 
@@ -426,16 +429,8 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
         directions = [x_j / x_i for x_j in linear if x_j != x_i]
         for point in h3:
             ideal = MonomialIdeal([*map(carried, point.ideal), x_i])
-            tangent = sorted(chain(map(carried, point.tangent), directions), reverse=True)
-            points.append(
-                FixedPoint(
-                    stage=point.stage,
-                    ideal=ideal,
-                    tangent=tuple(tangent),
-                    fiber=fiber_rep(ideal),
-                    hyperplane=i,
-                )
-            )
+            tangent = chain(map(carried, point.tangent), directions)
+            points.append(_fixed_point(point.stage, ideal, tangent, i))
     points.sort(key=FixedPoint.sort_key)
     return points
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -17,7 +18,6 @@ from quartics.bott import (
     DEFAULT_WEIGHTS,
     MIN_RANGE_WIDTH,
     bott_sum,
-    find_zero_weight,
     random_weight_search,
     validate_weights,
     weight_of,
@@ -72,7 +72,7 @@ def test_validate_weights_agrees_with_the_witness_search(h4_points):
     vectors = [DEFAULT_WEIGHTS, (0, 0, 0, 0, 0), (1, 1, 1, 1, 1)]
     vectors += [tuple(rng.randint(1, 11) for _ in range(5)) for _ in range(50)]
     verdicts = [validate_weights(h4_points, w) for w in vectors]
-    assert verdicts == [find_zero_weight(h4_points, w) is None for w in vectors]
+    assert verdicts == [zero_weight_error(h4_points, w) is None for w in vectors]
     assert verdicts[:3] == [True, False, False]
     assert verdicts.count(False) > len(vectors) // 2
 
@@ -86,25 +86,29 @@ def _walk_for_zero_weight(points, w):
     return None
 
 
-def test_find_zero_weight_matches_the_walk(h4_points):
+def _witness_message(w, witness):
+    """`zero_weight_error`'s text for a (point, monomial) witness, None for none."""
+    if witness is None:
+        return None
+    point, monomial = witness
+    return (f"weights {tuple(w)} give zero weight on tangent monomial {monomial} "
+            f"at fixed point {point.label}")
+
+
+def test_zero_weight_error_matches_the_walk(h4_points):
     rng = random.Random(3)
     vectors = [DEFAULT_WEIGHTS, (0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (3, 1, 4, 1, 5)]
     vectors += [tuple(rng.randint(1, 11) for _ in range(5)) for _ in range(50)]
-    witnesses = [find_zero_weight(h4_points, w) for w in vectors]
-    assert witnesses == [_walk_for_zero_weight(h4_points, w) for w in vectors]
-    assert witnesses[0] is None
-    assert all(witness is not None for witness in witnesses[1:4])
+    walked = [_walk_for_zero_weight(h4_points, w) for w in vectors]
+    errors = [zero_weight_error(h4_points, w) for w in vectors]
+    assert errors == [_witness_message(w, witness) for w, witness in zip(vectors, walked)]
+    assert errors[0] is None
+    assert all(error is not None for error in errors[1:4])
     # The CLI's error message names these two witnesses.
-    assert [(p.label, str(m)) for p, m in witnesses[2:4]] == [
+    assert [(p.label, str(m)) for p, m in walked[2:4]] == [
         ("h1:grassmannian:(x0^2, x1, x2^2)", "x2^-1*x3"),
         ("h1:grassmannian:(x0^2, x1, x2^2)", "x1^-1*x3"),
     ]
-
-
-def test_find_zero_weight_names_the_witness(h4_points):
-    point, monomial = find_zero_weight(h4_points, (1, 1, 1, 1, 1))
-    assert monomial in point.tangent
-    assert weight_of(monomial, (1, 1, 1, 1, 1)) == 0
 
 
 def test_zero_weight_error_names_the_witness(h4_points):
@@ -115,6 +119,10 @@ def test_zero_weight_error_names_the_witness(h4_points):
         "weights (1, 1, 1, 1, 1) give zero weight on tangent monomial x2^-1*x3 "
         "at fixed point h1:grassmannian:(x0^2, x1, x2^2)"
     )
+    # The named monomial is a tangent character of weight 0 at the named point.
+    point = next(p for p in h4_points if p.label == "h1:grassmannian:(x0^2, x1, x2^2)")
+    monomial = next(m for m in point.tangent if str(m) == "x2^-1*x3")
+    assert weight_of(monomial, (1, 1, 1, 1, 1)) == 0
 
 
 def test_random_weight_search_is_deterministic(h4_points):
@@ -143,6 +151,14 @@ def test_random_weight_search_range_too_small(h4_points):
     for hi in (4, MIN_RANGE_WIDTH - 1):
         with pytest.raises(ValueError):
             random_weight_search(0, 1, hi, h4_points)
+
+
+def test_random_weight_search_range_too_wide(h4_points):
+    # `random.sample` cannot draw from more than sys.maxsize integers; the
+    # range is rejected by name before any draw.
+    with pytest.raises(ValueError, match=r"^--range 1 100000000000000000000 holds more than"):
+        random_weight_search(0, 1, 10**20, h4_points)
+    assert random_weight_search(0, 1, sys.maxsize, h4_points)[1] >= 1
 
 
 def test_random_weight_search_exhaustion(h4_points, monkeypatch):
@@ -387,7 +403,7 @@ def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     result = bott_sum(points, DEFAULT_WEIGHTS, keep_terms=True)
     assert bott._held is not held
     assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, DEFAULT_WEIGHTS)
-    assert find_zero_weight(points, w) == (points[250], character)
+    assert zero_weight_error(points, w) == _witness_message(w, (points[250], character))
     assert not validate_weights(points, w)
 
 

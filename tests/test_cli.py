@@ -460,7 +460,9 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     assert re.fullmatch(r"seed 0: weights \([\d, ]+\) give -?[\d/]+, default -?[\d/]+", detail)
 
 
-def test_run_checks_builds_once(h3_points, h4_points, monkeypatch):
+def test_run_checks_builds_once(monkeypatch):
+    # The real, unpatched build: the points are built once.  `enumerate_h3`
+    # builds its own centers, so the centers are built twice.
     calls = Counter()
 
     def counted(name, fn):
@@ -469,15 +471,11 @@ def test_run_checks_builds_once(h3_points, h4_points, monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(fixedpoints, "enumerate_h3", counted("enumerate_h3", lambda: h3_points))
-    monkeypatch.setattr(fixedpoints, "assemble_h4", counted("assemble_h4", lambda h3: h4_points))
-    for name in ("stage1_centers", "stage2_centers"):
+    for name in ("enumerate_h3", "assemble_h4", "stage1_centers", "stage2_centers"):
         monkeypatch.setattr(fixedpoints, name, counted(name, getattr(fixedpoints, name)))
     results = checks.run_checks()
     assert [r.name for r in results if not r.ok] == []
-    assert calls == dict.fromkeys(
-        ("enumerate_h3", "assemble_h4", "stage1_centers", "stage2_centers"), 1
-    )
+    assert calls == {"enumerate_h3": 1, "assemble_h4": 1, "stage1_centers": 2, "stage2_centers": 2}
 
 
 def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
@@ -487,6 +485,17 @@ def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
     [result] = checks.run_checks()
     assert (result.name, result.ok) == ("build", False)
     assert "125" in result.detail
+
+
+def test_run_checks_reports_a_range_too_wide(h3_points, h4_points):
+    # Wider than `random.sample` can draw from: a failed check, not an OverflowError.
+    with prebuilt(h3_points, h4_points):
+        results = checks.run_checks(0, 1, 10**20)
+    assert [(r.name, r.detail) for r in results if not r.ok] == [
+        ("weight-independence",
+         f"ValueError: --range 1 {10**20} holds more than {sys.maxsize} integers, "
+         "too many to sample from")
+    ]
 
 
 def test_importing_checks_leaves_cli_unloaded():
