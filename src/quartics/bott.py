@@ -69,11 +69,8 @@ WeightVector = Sequence[int]
 
 
 class WeightSearchExhausted(Exception):
-    """`ATTEMPT_BUDGET` draws from [lo, hi] in a row gave no usable vector."""
-
-    def __init__(self, lo: int, hi: int):
-        super().__init__(f"no usable weight vector within {ATTEMPT_BUDGET} attempts")
-        self.lo, self.hi = lo, hi
+    """`ATTEMPT_BUDGET` draws from [lo, hi] in a row gave no usable vector;
+    the message names the range as the command line's ``--range LO HI``."""
 
 
 class LocalizationResult(NamedTuple):
@@ -189,7 +186,8 @@ def random_weight_search(
         w = tuple(rng.sample(range(lo, hi + 1), 5))
         if _usable(compiled, w):
             return w, attempt
-    raise WeightSearchExhausted(lo, hi)
+    raise WeightSearchExhausted(
+        f"--range {lo} {hi}: no usable weight vector within {ATTEMPT_BUDGET} attempts")
 
 
 def bott_sum(
@@ -204,17 +202,14 @@ def bott_sum(
     Each distinct character of the compiled points (reused for the same
     point objects in the same order) is specialized once, and products are
     taken over positions.  `w` must pass `validate_weights` first; a zero
-    tangent product raises, naming the first such point in the given order.
+    tangent product raises with the message of `zero_weight_error`.
     Exact arithmetic makes the result independent of summation order.
     """
     compiled = _compile(points)
     weight = [weight_of(m, w) for m in compiled.characters].__getitem__
     denominators = [math.prod(map(weight, t)) for t in compiled.tangents]
     if 0 in denominators:
-        point = compiled.points[denominators.index(0)]
-        raise ZeroDivisionError(
-            f"zero tangent weight at {point.label}; weights {tuple(w)} are invalid"
-        )
+        raise ZeroDivisionError(zero_weight_error(compiled.points, w))
     numerators = [math.prod(map(weight, f)) for f in compiled.fibers]
     sums, lcms = [], []
     for group in compiled.groups:

@@ -41,12 +41,12 @@ def _census(b: Build) -> tuple[bool, str]:
     counts = fixedpoints.census(b.h3)
     ok = (
         len(b.h3) == 126
-        and counts == {"grassmannian": 12, "blowup1": 42, "blowup2": 72}
+        and counts == dict(zip(fixedpoints.STAGES, (12, 42, 72)))
         and len(b.h4) == 504
         and all(sum(1 for p in b.h4 if p.hyperplane == i) == 126 for i in range(1, 5))
     )
     return ok, (
-        f"{counts['grassmannian']}/{counts['blowup1']}/{counts['blowup2']} = "
+        f"{'/'.join(map(str, counts.values()))} = "
         f"{len(b.h3)} points, {len(b.h4)} after hyperplane assembly"
     )
 
@@ -111,7 +111,7 @@ def _flat_limit_oracle(b: Build) -> tuple[bool, str]:
     directions = 0
     for center in b.stage1 + b.stage2:
         mismatches += [(center.base_ideal, *m) for m in fixedpoints.center_oracle_agreement(center)]
-        directions += len(+center.normal_basis)
+        directions += len(center.directions)
     if not mismatches:
         return True, f"flat limits match closed-form ideals in {directions} directions"
     base, mu, limit, closed = mismatches[0]

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--weights", nargs=5, type=int, metavar=("W0", "W1", "W2", "W3", "W4"),
-        help="explicit one-parameter subgroup (default 267 4 17 55 160)",
+        help="explicit one-parameter subgroup (default %d %d %d %d %d)" % bott.DEFAULT_WEIGHTS,
     )
     p_count.add_argument(
         "--show-terms", action="store_true",
@@ -204,11 +204,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, bott.WeightSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    except bott.WeightSearchExhausted as exc:
-        print(f"error: --range {exc.lo} {exc.hi}: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except BrokenPipeError:
         # The reader is gone; send what is still buffered to devnull so

@@ -39,6 +39,7 @@ recomputes every blown-up ideal from first principles as a flat limit.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, filterfalse, groupby, permutations, product
@@ -79,10 +80,13 @@ class FixedPoint(NamedTuple):
         return f"{prefix}{self.stage}:{self.ideal}"
 
     def sort_key(self) -> tuple:
+        # The ideal's exponents are negated so that an ascending sort lists
+        # ideals in the descending-lexicographic convention of monomial
+        # terms ((x0^2, x1^2) before (x2^2, x3^2)).
         return (
             self.hyperplane if self.hyperplane is not None else 0,
             STAGES.index(self.stage),
-            self.ideal.sort_key(),
+            tuple(tuple(map(operator.neg, g)) for g in self.ideal),
         )
 
 
@@ -91,7 +95,7 @@ class BlowupCenterDatum(NamedTuple):
 
     `normal_basis` is the normal space, the ambient tangent minus
     `tangent_to_center`: degree-0 semiinvariant characters, one candidate
-    fixed point per character.  `lcm_base` is the least common multiple of
+    fixed point per character of `directions`.  `lcm_base` is the least common multiple of
     the generator pair whose syzygy is lifted, so the candidate fixed point
     in direction mu acquires the new generator lcm_base * mu.  `stage` tags
     the stage of the points this center produces.
@@ -102,6 +106,11 @@ class BlowupCenterDatum(NamedTuple):
     normal_basis: Counter[LaurentMonomial]
     lcm_base: LaurentMonomial
     stage: str
+
+    @property
+    def directions(self) -> tuple[LaurentMonomial, ...]:
+        """The normal characters of positive multiplicity, in canonical order."""
+        return tuple(sorted(+self.normal_basis, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +161,12 @@ def grassmann_fixed_points() -> list[FixedPoint]:
     Pairs of invariant quadrics sharing a variable lie in the first
     blow-up center and are excluded here.
     """
-    points = []
-    for a, b in combinations(invariant_sections(3, 2), 2):
-        if a.gcd(b).is_trivial():
-            ideal = MonomialIdeal([a, b])
-            points.append(
-                _fixed_point(STAGE_GRASSMANNIAN, ideal, grassmann_tangent(ideal).elements())
-            )
-    return points
+    pairs = map(MonomialIdeal, combinations(invariant_sections(3, 2), 2))
+    return [
+        _fixed_point(STAGE_GRASSMANNIAN, ideal, grassmann_tangent(ideal).elements())
+        for ideal in pairs
+        if not ideal.has_common_factor()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +246,11 @@ def blowup_point_tangent(
     `direction`, and the tangent space of the projectivized normal space
     (one line eta * direction^-1 per other normal character eta).
     """
-    if center.normal_basis[direction] < 1:
+    directions = center.directions
+    if direction not in directions:
         raise ValueError(f"{direction} is not a normal direction of {center.base_ideal}")
     lines = [direction]
-    lines.extend(
-        eta / direction for eta in +center.normal_basis if eta != direction
-    )
+    lines.extend(eta / direction for eta in directions if eta != direction)
     return center.tangent_to_center + Counter(lines)
 
 
@@ -257,7 +263,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     from this stage's output.
     """
     points = []
-    for mu in sorted(+center.normal_basis, reverse=True):
+    for mu in center.directions:
         ideal = _blowup_ideal(center, mu)
         if ideal is None:
             raise ValueError(
@@ -378,7 +384,7 @@ def center_oracle_agreement(
     lcm_base * mu has a negative exponent.
     """
     mismatches = []
-    for mu in sorted(+center.normal_basis, reverse=True):
+    for mu in center.directions:
         closed_form = _blowup_ideal(center, mu)
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
@@ -416,7 +422,8 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     x_j / x_i (j != i), and the fiber is recomputed in the five-character
     ring.  The carried generators and x_i make up one ideal, reduced once.
     Each hyperplane carries each distinct character of the 126 points once,
-    into one map; each tangent is the carried characters and the
+    into one map, and takes its directions Hom(x_i, V[1]/x_i) once from
+    `grassmann_tangent`; each tangent is the carried characters and the
     directions, sorted.
     """
     if len(h3) != 126:
@@ -426,7 +433,7 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
         carried = {m: LaurentMonomial((*m[:i], 0, *m[i:])) for m in characters}.__getitem__
-        directions = [x_j / x_i for x_j in linear if x_j != x_i]
+        directions = tuple(grassmann_tangent(MonomialIdeal([x_i])).elements())
         for point in h3:
             ideal = MonomialIdeal([*map(carried, point.ideal), x_i])
             tangent = chain(map(carried, point.tangent), directions)

@@ -174,15 +174,6 @@ class MonomialIdeal(tuple):
         """True when all generators share a nontrivial monomial factor."""
         return not reduce(LaurentMonomial.gcd, self).is_trivial()
 
-    def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical comparison key fixing a deterministic point order.
-
-        Exponents are negated so that an ascending sort lists ideals in
-        the same descending-lexicographic convention as monomial terms
-        ((x0^2, x1^2) before (x2^2, x3^2)).
-        """
-        return tuple(tuple(map(operator.neg, g)) for g in self)
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:

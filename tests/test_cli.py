@@ -63,6 +63,17 @@ def test_count_default(capsys):
     assert "weights: 267 4 17 55 160" in err
 
 
+def test_count_help_states_the_defaults(capsys):
+    # Both defaults are formatted from `bott`; argparse wraps the help
+    # text to the terminal width, so whitespace is normalized first.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["count", "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default 267 4 17 55 160" in text
+    assert "default 1 10000" in text
+
+
 def test_count_json(capsys):
     code, out, _ = run(["count", "--json"], capsys)
     assert code == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -79,6 +79,20 @@ def test_grassmannian_pairs_have_disjoint_support():
     assert {p.ideal for p in grassmann_fixed_points()} == expected
     # Pairs sharing a variable belong to the blow-up center, not here.
     assert ideal("x1^2", "x1*x2") not in expected
+
+
+def test_grassmannian_pencils_split_into_points_and_stage1_bases():
+    # G(2, V[2]) has 21 coordinate pencils.  The 12 without a common factor
+    # are the Grassmannian points; the 9 with one are the stage-1 center
+    # bases, built independently as products l*W.  The two derivations
+    # cover the pencils once each: 12 = 21 - 9.
+    pencils = {MonomialIdeal(pair) for pair in combinations(invariant_sections(3, 2), 2)}
+    points = [p.ideal for p in grassmann_fixed_points()]
+    bases = [c.base_ideal for c in stage1_centers()]
+    assert (len(pencils), len(points), len(bases)) == (21, 12, 9)
+    assert set(points).isdisjoint(bases)
+    assert set(points) | set(bases) == pencils
+    assert {I for I in pencils if I.has_common_factor()} == set(bases)
 
 
 def test_grassmannian_tangent_terms():
