@@ -63,6 +63,7 @@ DEFAULT_RANGE = (1, 10_000)
 #: has degree 0, so shifting a range leaves its usable vectors unchanged;
 #: no five distinct integers from [1, 10] are usable, and some from
 #: [1, 11] are, so every range of at least 11 integers contains usable ones.
+#: A usable vector's first four weights are usable on the 126 points, which hyperplane 4 carries.
 MIN_RANGE_WIDTH = 11
 
 WeightVector = Sequence[int]
@@ -172,7 +173,8 @@ def random_weight_search(
 ) -> tuple[tuple[int, ...], int]:
     """Deterministic rejection sampling for a usable weight vector.
 
-    Draws five distinct integers uniformly from [lo, hi] until the vector
+    Draws distinct integers uniformly from [lo, hi], one per character
+    coordinate of the points (five when there are none), until the vector
     passes the test of `validate_weights`, once per distinct tangent
     character; returns (weights, attempts).  The same seed always returns
     the same vector.  Raises `check_range`'s ValueError for a range too
@@ -181,9 +183,10 @@ def random_weight_search(
     """
     check_range(lo, hi)
     compiled = _compile(points)
+    size = len(next(iter(compiled.characters), DEFAULT_WEIGHTS))
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
-        w = tuple(rng.sample(range(lo, hi + 1), 5))
+        w = tuple(rng.sample(range(lo, hi + 1), size))
         if _usable(compiled, w):
             return w, attempt
     raise WeightSearchExhausted(

@@ -18,7 +18,6 @@ JSON output is always parseable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
@@ -36,6 +35,11 @@ EXIT_BROKEN_PIPE = 141
 
 def _fraction_json(value):
     return int(value) if value.denominator == 1 else str(value)
+
+
+def _print_json(payload) -> None:
+    import json  # here alone, so that runs without --json and the dump never load it
+    print(json.dumps(payload, indent=2))
 
 
 def _resolve_weights(args, points: Sequence[FixedPoint]) -> tuple[tuple[int, ...], int | None]:
@@ -76,7 +80,7 @@ def cmd_count(args) -> int:
                 {"point": label, "term": _fraction_json(term)}
                 for label, term in result.per_point_terms
             ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"weights: {' '.join(map(str, weights))}", file=sys.stderr)
         if attempts is not None:
@@ -123,7 +127,7 @@ def cmd_verify(args) -> int:
     lo, hi = args.range or bott.DEFAULT_RANGE
     results = run_checks(args.seed if args.seed is not None else 0, lo, hi)
     if args.json:
-        print(json.dumps([r._asdict() for r in results], indent=2))
+        _print_json([r._asdict() for r in results])
     else:
         for r in results:
             print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")

@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse, groupby, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections
@@ -442,14 +442,19 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     return points
 
 
+@lru_cache(maxsize=None)
+def _fiber_sections(n: int) -> frozenset[LaurentMonomial]:
+    return frozenset(invariant_sections(n, DEGREE))
+
+
 def fiber_rep(I: MonomialIdeal) -> tuple[LaurentMonomial, ...]:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
     The invariant degree-6 monomials not lying in the ideal, the sections
-    that the twist does not hold, in canonical order.
+    that the twist does not hold, in canonical order.  Both sets hold the
+    same section objects, so the difference rehashes and compares nothing.
     """
-    twist = ideal_twist(I, DEGREE)
-    return tuple(filterfalse(twist.__contains__, invariant_sections(I.nvars - 1, DEGREE)))
+    return tuple(sorted(_fiber_sections(I.nvars - 1) - ideal_twist(I, DEGREE), reverse=True))
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:

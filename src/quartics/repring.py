@@ -22,8 +22,10 @@ Torus-fixed curves have monomial graded ideals; a monomial ideal
 (`MonomialIdeal`) is the tuple of its reduced generators.  The degree-k
 slice of such an ideal, the set of sections of V[k] lying in it, is
 `ideal_twist`: the union of the sections each generator divides, which
-are the generator times the sections of the complementary degree.  All
-values are immutable and all operations are pure.
+are the generator times the sections of the complementary degree.  Those
+sets hold the very objects of `invariant_sections`, so set operations on
+slices and sections match keys by identity and stored hash, comparing no
+tuples.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -156,7 +158,10 @@ class MonomialIdeal(tuple):
         # of equal degree is the generator itself, and duplicates are gone.
         reduced: list[LaurentMonomial] = []
         for g in sorted(gens, key=sum):
-            if not any(all(map(operator.le, h, g)) for h in reduced):
+            for h in reduced:
+                if all(map(operator.le, h, g)):
+                    break
+            else:
                 reduced.append(g)
         reduced.sort(reverse=True)
         return super().__new__(cls, reduced)
@@ -223,17 +228,24 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
+def _interned(n: int, k: int) -> dict[LaurentMonomial, LaurentMonomial]:
+    return {m: m for m in invariant_sections(n, k)}
+
+
+@lru_cache(maxsize=None)
 def _multiples(g: LaurentMonomial, k: int) -> frozenset[LaurentMonomial]:
     """The degree-k invariant sections divisible by the invariant monomial g.
 
     A section is divisible by g iff its quotient by g is an invariant
     section of degree k - deg g, so these are g times the sections of
-    that degree; there are none when deg g > k.
+    that degree; there are none when deg g > k.  Each product is swapped
+    for the equal object of `invariant_sections(n, k)` (see the module).
     """
     n, d = len(g) - 1, g.degree
     if d > k:
         return frozenset()
-    return frozenset(map(g.__mul__, invariant_sections(n, k - d)))
+    canonical, cofactors = _interned(n, k), invariant_sections(n, k - d)
+    return frozenset(canonical[tuple(map(operator.add, g, q))] for q in cofactors)
 
 
 def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
@@ -242,6 +254,7 @@ def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     Returns the set of invariant degree-k monomials lying in I, the union
     of the cached sets of multiples of its generators; the tests keep the
     scan of every section with `MonomialIdeal.contains` as its oracle.
+    The largest set goes first, so it is copied whole, not inserted again.
 
     >>> I = MonomialIdeal([LaurentMonomial((2, 0, 0, 0))])
     >>> [str(m) for m in ideal_twist(I, 2)]
@@ -249,4 +262,4 @@ def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
     """
     if k < 0:
         raise ValueError(f"negative degree: {k}")
-    return frozenset().union(*(_multiples(g, k) for g in I))
+    return frozenset().union(*sorted((_multiples(g, k) for g in I), key=len, reverse=True))

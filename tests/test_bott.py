@@ -146,6 +146,22 @@ def test_random_weight_search_postconditions(h4_points):
         assert 1 <= attempts <= 100
 
 
+def test_random_weight_search_draws_one_weight_per_character(h3_points, h4_points):
+    # The 126 points have four characters, so the search draws four weights.
+    for hi in (10_000, MIN_RANGE_WIDTH):
+        weights, attempts = random_weight_search(0, 1, hi, h3_points)
+        assert len(set(weights)) == len(weights) == 4
+        assert validate_weights(h3_points, weights)
+        assert random_weight_search(0, 1, hi, h3_points) == (weights, attempts)
+    # MIN_RANGE_WIDTH holds on them: a usable vector's first four weights
+    # are usable on the 126 points, whose copies in hyperplane 4 carry
+    # their characters.  The four are pinned usable draws from [1, 11].
+    for w in [(11, 2, 5, 1, 10), (11, 10, 2, 1, 5), (11, 10, 5, 1, 2), (1, 7, 11, 10, 2)]:
+        assert validate_weights(h4_points, w) and validate_weights(h3_points, w[:4])
+    # An empty sequence keeps drawing five, every draw usable.
+    assert random_weight_search(0, 1, 10_000, []) == random_weight_search(0, 1, 10_000, h4_points)
+
+
 def test_random_weight_search_range_too_small(h4_points):
     for hi in (4, MIN_RANGE_WIDTH - 1):
         with pytest.raises(ValueError):

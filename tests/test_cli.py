@@ -525,18 +525,20 @@ def test_importing_checks_leaves_cli_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-def test_count_imports_neither_dataclasses_nor_inspect():
+@pytest.mark.parametrize("argv", [["count"], ["fixed-points", "--json"]], ids=" ".join)
+def test_count_imports_neither_dataclasses_nor_inspect(argv):
     # Both cost more to import than the package itself; the record types
-    # are named tuples so that a `count` process needs neither.
+    # are named tuples so that a `count` process needs neither.  `json` is
+    # loaded only to print --json output, which the dump writes itself.
     script = (
-        "import sys, quartics.cli as cli; code = cli.main(['count']); "
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys, quartics.cli as cli; code = cli.main({argv!r}); "
+        "print(code, sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=60, env=module_env(),
     )
-    assert proc.stdout.splitlines() == ["6028452", "0 []"], proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

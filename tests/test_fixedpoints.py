@@ -619,6 +619,15 @@ def test_fiber_rep_is_sections_minus_twist(h3_points, h4_points):
         assert len(p.fiber) + len(twist) == len(sections) == {3: 50, 4: 130}[n]
 
 
+def test_twist_and_fiber_hold_the_section_objects(h3_points, h4_points):
+    # The set difference that builds a fiber matches sections by identity
+    # only while the slices hold the very objects of the section space.
+    for p in [*h3_points, *h4_points]:
+        canonical = {m: m for m in invariant_sections(p.ideal.nvars - 1, 6)}
+        for m in [*ideal_twist(p.ideal, 6), *fiber_rep(p.ideal)]:
+            assert m is canonical[m], (p.ideal, m)
+
+
 def test_lemma_injectivity_examples():
     assert lemma_injectivity_check(ideal("x1*x2", "x1*x3", "x0^2*x2"))
     # All invariant quartics, with every invariant cubic outside: each
