@@ -17,34 +17,41 @@ point appears anywhere: products of 13 weights of size up to 10^4
 overflow 64-bit integers.  Each point holds its fiber and tangent
 characters as tuples, each character repeated by its multiplicity.
 
-A point sequence is compiled once: its distinct characters (395 on the
-504 points), the set of its distinct tangent characters (280), each
-point's tangent and fiber as positions into the characters, and the
-points grouped by hyperplane.  One compiled form is held, and a call
-reuses it when it passes the same point objects in the same order, so a
-sweep over weight vectors builds nothing.  A sum specializes each
-distinct character once and multiplies by position.  It adds each
-group's terms over that group's own common denominator, the lcm L_g of
-its tangent products, sum n_p / d_p = (sum n_p * (L_g / d_p)) / L_g, then
-adds the group sums the same way over the lcm of the L_g, with a single
-gcd at the end.  Every tangent in hyperplane i holds the three directions
-x_j / x_i, and its other characters use four of the five weights, so L_g
-has about half the bits of the lcm of all 504 products (a median of
-about 600 against 1150 for weights up to 10^4; 126 points drawn at
-random give about 990), and the lcm and the quotients L_g / d_p cost
-less by as much.
+A point sequence is compiled once.  Its distinct characters (395 on the
+504 points) are stored column by column, coordinate j of every character
+in one tuple, the tangent characters (280) first, so a weight vector
+specializes them all with one `map` per coordinate.  The points are
+grouped by hyperplane, and each point's characters become
+`operator.itemgetter` gathers of positions into the specialized list.  A
+group's shared positions are the distinct ones that every one of its
+tangents holds, found as a set intersection and each taken once: on the
+504 points, the three directions x_j / x_i of hyperplane i.  Each point
+keeps a gather of its other ten tangent positions and one of its fiber.
+One compiled form is held, and a call reuses it when it passes the same
+point objects in the same order, so a sweep over weight vectors builds
+nothing.
+
+A sum multiplies each group's shared weights once, into s_g, and the rest
+of each tangent into r_p, so d_p = s_g * r_p.  The group's terms are added
+over L_g * s_g, with L_g the lcm of its r_p:
+sum n_p / d_p = (sum n_p * (L_g / r_p)) / (L_g * s_g).  The group sums are
+then added the same way over the lcm of the L_g * s_g, with a single gcd
+at the end.  Outside the shared directions a tangent's characters use
+four of the five weights, so L_g * s_g has about half the bits of the lcm
+of all 504 products (a median of about 600 against 1170 for weights up to
+10^4, of which s_g is about 35), and the lcm and the quotients L_g / r_p
+cost less by as much.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import count
-from typing import Iterable, NamedTuple, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
 from .repring import LaurentMonomial
@@ -59,11 +66,12 @@ ATTEMPT_BUDGET = 100_000
 #: Inclusive sampling range of the random weight search when none is given.
 DEFAULT_RANGE = (1, 10_000)
 
-#: Fewest integers a sampling range must hold.  Every tangent character
-#: has degree 0, so shifting a range leaves its usable vectors unchanged;
-#: no five distinct integers from [1, 10] are usable, and some from
-#: [1, 11] are, so every range of at least 11 integers contains usable ones.
-#: A usable vector's first four weights are usable on the 126 points, which hyperplane 4 carries.
+#: Fewest integers a sampling range must hold: the narrowest width with a
+#: usable vector on the 504 points.  Every tangent character has degree 0,
+#: so shifting a range leaves its usable vectors unchanged; no five
+#: distinct integers from [1, 10] are usable on the 504 points, and some
+#: from [1, 11] are.  Other points can do with less: 768 ordered four
+#: distinct integers from [1, 10] are usable on the 126 points.
 MIN_RANGE_WIDTH = 11
 
 WeightVector = Sequence[int]
@@ -92,27 +100,52 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     return sum(map(operator.mul, m, w))
 
 
+#: A function from the list of character weights to the tuple of some of them.
+_Gather = Callable[[Sequence[int]], tuple[int, ...]]
+
+
+def _gather(positions: Iterable[int]) -> _Gather:
+    """The function from a sequence to the tuple of its items at `positions`;
+    `itemgetter` takes no empty list and returns a single item bare."""
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda weights: tuple(map(weights.__getitem__, positions))
+
+
+class _Group(NamedTuple):
+    """The points of one hyperplane, or all those without one, as gathers
+    from the list of character weights: `shared` gathers the tangent
+    positions that every point of the group holds, and `tangents[k]` the
+    other tangent positions of point `indices[k]`, `fibers[k]` its fiber."""
+
+    indices: tuple[int, ...]
+    shared: _Gather
+    tangents: tuple[_Gather, ...]
+    fibers: tuple[_Gather, ...]
+
+
 class _Compiled(NamedTuple):
-    """A point sequence with its characters numbered; `tangents[i]` and
-    `fibers[i]` are point i's characters as positions into `characters`.
-    `groups` holds the indices of the points of each hyperplane, in
-    first-seen order; the points without one make one group.  Usability
-    depends on `tangent_characters` alone."""
+    """A point sequence with its distinct characters stored column by column:
+    `columns[j]` holds coordinate j of each character, by position, and
+    `tangent_columns` the same for the tangent characters, which take the
+    first positions.  `groups` holds the hyperplanes in first-seen order;
+    the points without one make one group.  Usability depends on
+    `tangent_columns` alone."""
 
     points: tuple[FixedPoint, ...]
-    characters: tuple[LaurentMonomial, ...]
-    tangent_characters: frozenset[LaurentMonomial]
-    tangents: tuple[tuple[int, ...], ...]
-    fibers: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    tangent_columns: tuple[tuple[int, ...], ...]
+    groups: tuple[_Group, ...]
 
 
-_held = _Compiled((), (), frozenset(), (), (), ())
+_held = _Compiled((), (), (), ())
 
 
 def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     """The compiled form of the points, reused while the same point objects
-    come in the same order; the held tuple keeps that identity test sound."""
+    come in the same order; the held tuple keeps that identity test sound.
+    Raises ValueError when the characters differ in length."""
     global _held
     points = tuple(points)
     held = _held
@@ -120,20 +153,44 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
         return held
     # A character gets the next position when first seen, hashed once per occurrence.
     positions: defaultdict[LaurentMonomial, int] = defaultdict(count().__next__)
-    tangents = tuple(tuple(map(positions.__getitem__, p.tangent)) for p in points)
-    tangent_characters = frozenset(positions)
-    fibers = tuple(tuple(map(positions.__getitem__, p.fiber)) for p in points)
-    groups: defaultdict[int | None, list[int]] = defaultdict(list)
+    tangents = [tuple(map(positions.__getitem__, p.tangent)) for p in points]
+    tangent_count = len(positions)
+    fibers = [_gather(map(positions.__getitem__, p.fiber)) for p in points]
+    if len(lengths := set(map(len, positions))) > 1:
+        raise ValueError(f"characters of {sorted(lengths)} coordinates are mixed")
+    columns = tuple(zip(*positions))
+    members: defaultdict[int | None, list[int]] = defaultdict(list)
     for index, point in enumerate(points):
-        groups[point.hyperplane].append(index)
-    _held = _Compiled(points, tuple(positions), tangent_characters, tangents, fibers,
-                      tuple(map(tuple, groups.values())))
+        members[point.hyperplane].append(index)
+    groups = []
+    for indices in members.values():
+        group = list(map(tangents.__getitem__, indices))
+        shared = set(group[0]).intersection(*group[1:])
+        rests = []
+        for tangent in group:
+            rest = list(tangent)
+            for c in shared:
+                rest.remove(c)
+            rests.append(_gather(rest))
+        groups.append(_Group(tuple(indices), _gather(shared), tuple(rests),
+                             tuple(map(fibers.__getitem__, indices))))
+    tangent_columns = tuple(column[:tangent_count] for column in columns)
+    _held = _Compiled(points, columns, tangent_columns, tuple(groups))
     return _held
+
+
+def _specialize(columns: Sequence[Sequence[int]], w: WeightVector) -> list[int]:
+    """The weight of each character stored in `columns`, one `map` per coordinate."""
+    if columns and len(columns) != len(w):
+        raise ValueError(f"characters have {len(columns)} coordinates "
+                         f"but {len(w)} weights are given")
+    scaled = [map(operator.mul, column, repeat(x)) for column, x in zip(columns, w)]
+    return list(map(sum, zip(*scaled)))
 
 
 def _usable(compiled: _Compiled, w: WeightVector) -> bool:
     """True iff `w` gives every distinct tangent character a nonzero weight."""
-    return all(weight_of(m, w) for m in compiled.tangent_characters)
+    return all(_specialize(compiled.tangent_columns, w))
 
 
 def zero_weight_error(points: Sequence[FixedPoint], w: WeightVector) -> str | None:
@@ -159,7 +216,7 @@ def check_range(lo: int, hi: int) -> None:
     The message names the range as the command line's ``--range LO HI``."""
     if hi - lo + 1 < MIN_RANGE_WIDTH:
         raise ValueError(f"--range {lo} {hi} holds fewer than {MIN_RANGE_WIDTH} integers; "
-                         f"no narrower range has a usable weight vector")
+                         f"no narrower range has a usable weight vector on the 504 points")
     if hi - lo + 1 > sys.maxsize:
         raise ValueError(f"--range {lo} {hi} holds more than {sys.maxsize} integers, "
                          f"too many to sample from")
@@ -181,9 +238,11 @@ def random_weight_search(
     narrow or too wide and `WeightSearchExhausted` once `ATTEMPT_BUDGET`
     draws have failed.
     """
+    import random  # here alone, so that a run without a search never loads it
+
     check_range(lo, hi)
     compiled = _compile(points)
-    size = len(next(iter(compiled.characters), DEFAULT_WEIGHTS))
+    size = len(compiled.columns) or len(DEFAULT_WEIGHTS)
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), size))
@@ -200,27 +259,34 @@ def bott_sum(
 
     Sums (product of fiber weights) / (product of tangent weights) over the
     fixed points, each weight repeated by its multiplicity.  The points of
-    one hyperplane, or all those without one, are added over the lcm of
-    their tangent products, and the group sums over the lcm of those lcms.
-    Each distinct character of the compiled points (reused for the same
-    point objects in the same order) is specialized once, and products are
-    taken over positions.  `w` must pass `validate_weights` first; a zero
-    tangent product raises with the message of `zero_weight_error`.
-    Exact arithmetic makes the result independent of summation order.
+    one hyperplane, or all those without one, are added over their shared
+    tangent product times the lcm of their other tangent products, and the
+    group sums over the lcm of those denominators.  Each distinct character
+    of the compiled points (reused for the same point objects in the same
+    order) is specialized once, and products are taken over gathered
+    positions.  `w` must pass `validate_weights` first; a zero tangent
+    product raises with the message of `zero_weight_error`.  Exact
+    arithmetic makes the result independent of summation order.
     """
     compiled = _compile(points)
-    weight = [weight_of(m, w) for m in compiled.characters].__getitem__
-    denominators = [math.prod(map(weight, t)) for t in compiled.tangents]
-    if 0 in denominators:
-        raise ZeroDivisionError(zero_weight_error(compiled.points, w))
-    numerators = [math.prod(map(weight, f)) for f in compiled.fibers]
-    sums, lcms = [], []
+    weights = _specialize(compiled.columns, w)
+    sums, denominators, kept = [], [], []
     for group in compiled.groups:
-        lcms.append(common := math.lcm(*map(denominators.__getitem__, group)))
-        sums.append(sum(numerators[i] * (common // denominators[i]) for i in group))
-    common = math.lcm(*lcms)
-    value = Fraction(sum(s * (common // d) for s, d in zip(sums, lcms)), common)
+        shared = math.prod(group.shared(weights))
+        rests = [math.prod(gather(weights)) for gather in group.tangents]
+        if not shared or 0 in rests:
+            raise ZeroDivisionError(zero_weight_error(compiled.points, w))
+        numerators = [math.prod(gather(weights)) for gather in group.fibers]
+        common = math.lcm(*rests)
+        sums.append(sum(n * (common // r) for n, r in zip(numerators, rests)))
+        denominators.append(common * shared)
+        kept.append((group.indices, shared, rests, numerators))
+    common = math.lcm(*denominators)
+    value = Fraction(sum(s * (common // d) for s, d in zip(sums, denominators)), common)
     if not keep_terms:
         return LocalizationResult(value)
-    terms = zip((p.label for p in compiled.points), map(Fraction, numerators, denominators))
-    return LocalizationResult(value, tuple(terms))
+    terms: list[Fraction] = [Fraction(0)] * len(compiled.points)
+    for indices, shared, rests, numerators in kept:
+        for i, r, n in zip(indices, rests, numerators):
+            terms[i] = Fraction(n, shared * r)
+    return LocalizationResult(value, tuple(zip((p.label for p in compiled.points), terms)))

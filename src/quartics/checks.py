@@ -168,13 +168,10 @@ CHECKS = (
 def run_checks(
     base_seed: int = 0, lo: int = bott.DEFAULT_RANGE[0], hi: int = bott.DEFAULT_RANGE[1]
 ) -> list[CheckResult]:
-    """Build the points once, then run every check of `CHECKS`.
-
-    The 9 stage-1 and 12 stage-2 centers are built here for the checks and
-    again inside `fixedpoints.enumerate_h3`, which builds its own."""
+    """Build the centers and the points once, then run every check of `CHECKS`."""
     try:
         stage1, stage2 = fixedpoints.stage1_centers(), fixedpoints.stage2_centers()
-        h3 = fixedpoints.enumerate_h3()
+        h3 = fixedpoints.enumerate_h3(stage1 + stage2)
         build = Build(h3, fixedpoints.assemble_h4(h3), stage1, stage2,
                       range(base_seed, base_seed + VERIFY_SEED_COUNT), lo, hi)
     except (ValueError, RuntimeError) as exc:

@@ -397,10 +397,15 @@ def center_oracle_agreement(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_h3() -> list[FixedPoint]:
-    """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72)."""
+def enumerate_h3(centers: Sequence[BlowupCenterDatum] | None = None) -> list[FixedPoint]:
+    """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72).
+
+    `centers` are the stage-1 then the stage-2 centers, built here when
+    not given."""
     points = grassmann_fixed_points()
-    for center in stage1_centers() + stage2_centers():
+    if centers is None:
+        centers = stage1_centers() + stage2_centers()
+    for center in centers:
         points.extend(blowup_fixed_points(center))
     points.sort(key=FixedPoint.sort_key)
     seen: set[MonomialIdeal] = set()

@@ -201,6 +201,19 @@ def test_min_range_width_is_the_narrowest_usable_range(h4_points):
     assert validate_weights(h4_points, w)
 
 
+def test_min_range_width_holds_for_the_504_points_only(h3_points, h4_points):
+    # Narrower ranges have usable vectors on the 126 points, so the
+    # message names the points its width is the narrowest for.
+    narrow = range(1, MIN_RANGE_WIDTH)
+    usable = [w for w in permutations(narrow, 4) if validate_weights(h3_points, w)]
+    assert len(usable) == 768
+    message = (r"^--range 1 10 holds fewer than 11 integers; "
+               r"no narrower range has a usable weight vector on the 504 points$")
+    for points in (h3_points, h4_points):
+        with pytest.raises(ValueError, match=message):
+            random_weight_search(0, 1, MIN_RANGE_WIDTH - 1, points)
+
+
 # ---------------------------------------------------------------------------
 #  The localization sum
 # ---------------------------------------------------------------------------
@@ -328,7 +341,7 @@ def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_poi
         "h4-reversed": (h4_points[::-1], [126] * 4),
         "empty": ([], []),
     }[arrangement]
-    assert list(map(len, bott._compile(points).groups)) == groups
+    assert [len(group.indices) for group in bott._compile(points).groups] == groups
     vectors = [DEFAULT_WEIGHTS]
     vectors += [random_weight_search(seed, 1, 10_000, h4_points)[0] for seed in range(5)]
     for w in vectors:
@@ -336,6 +349,70 @@ def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_poi
         w = w[:4] if arrangement == "h3" else w
         result = bott_sum(points, w, keep_terms=True)
         assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
+
+
+#: Characters the synthetic points draw from, so that points share some.
+_POOL = [mono(t) for t in ("x1*x2^-1", "x2*x3^-1", "x0^2*x1^-1*x4^-1", "x3^-1*x4", "x0*x2^-1")]
+_characters = st.lists(
+    st.sampled_from(_POOL)
+    | st.builds(LaurentMonomial, st.lists(st.integers(-2, 2), min_size=5, max_size=5)),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_characters, _characters, st.sampled_from([None, 1, 2])), max_size=6),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from(_POOL),
+    st.lists(st.integers(-12, 12), min_size=5, max_size=5),
+)
+def test_shared_factor_sum_matches_the_per_point_oracle(drawn, doubled, twice, w):
+    # Every tangent of the group `doubled` gains two copies of `twice`, so the
+    # group shares it whatever else it draws.  A weight vector that vanishes
+    # on a tangent character raises the error of `zero_weight_error`.
+    points = []
+    for tangent, fiber, hyperplane in drawn:
+        tangent = (*tangent, twice, twice) if hyperplane == doubled else tuple(tangent)
+        points.append(_synthetic_point(tangent, tuple(fiber))._replace(hyperplane=hyperplane))
+    try:
+        expected = _oracle_bott_sum(points, w)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            bott_sum(points, w)
+        assert str(excinfo.value) == zero_weight_error(points, w) is not None
+        return
+    result = bott_sum(points, w, keep_terms=True)
+    assert (result.value, result.per_point_terms) == expected
+    assert bott_sum(points, w).value == expected[0]
+    assert validate_weights(points, w)
+
+
+def test_zero_weight_on_a_shared_character_names_the_first_point():
+    # `shared` vanishes at w and every point of hyperplane 1 holds it; the
+    # error names the first point in the caller's order, and its first
+    # tangent character of weight 0.
+    w = (1, 2, 2, 3, 5)
+    shared, other = mono("x1*x2^-1"), mono("x0^2*x3^-1*x4^-1")
+    assert (weight_of(shared, w), weight_of(other, w)) == (0, -6)
+    ideals = [MonomialIdeal([mono("x0^2"), mono(f"x{k}^2")]) for k in (1, 2, 3)]
+    first = _synthetic_point((other, shared))._replace(ideal=ideals[0], hyperplane=1)
+    second = _synthetic_point((shared, shared, other))._replace(ideal=ideals[1], hyperplane=1)
+    elsewhere = _synthetic_point((other,))._replace(ideal=ideals[2], hyperplane=2)
+    for order, named in [((elsewhere, first, second), first), ((second, elsewhere, first), second)]:
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            bott_sum(order, w)
+        assert str(excinfo.value) == _witness_message(w, (named, shared))
+        assert str(excinfo.value) == zero_weight_error(order, w)
+
+
+def test_characters_of_mixed_lengths_are_rejected():
+    four, five = mono("x1*x2^-1", 4), mono("x1*x2^-1")
+    for tangent, fiber in [((four, five), ()), ((five,), (four,)), ((four,), (five,))]:
+        points = [_synthetic_point(tangent, fiber)]
+        for call in (bott_sum, validate_weights):
+            with pytest.raises(ValueError, match=r"^characters of \[4, 5\] coordinates are mixed$"):
+                call(points, DEFAULT_WEIGHTS)
 
 
 def _line_points() -> list[FixedPoint]:
@@ -392,18 +469,37 @@ def test_bott_sum_is_summation_order_invariant(h4_points):
     assert result.per_point_terms == _oracle_bott_sum(shuffled, DEFAULT_WEIGHTS)[1]
 
 
-def test_bott_sum_specializes_each_distinct_character_once(h4_points, monkeypatch):
-    calls = Counter()
+def _characters_of(compiled) -> list[LaurentMonomial]:
+    """The distinct characters of a compiled form, by position, from its columns."""
+    return [LaurentMonomial(c) for c in zip(*compiled.columns)]
 
-    def counting_weight_of(m, w):
-        calls[m] += 1
-        return weight_of(m, w)
 
-    monkeypatch.setattr(bott, "weight_of", counting_weight_of)
-    assert bott_sum(h4_points, DEFAULT_WEIGHTS).value == Fraction(6028452)
+def test_bott_sum_specializes_each_distinct_character_once(h4_points):
+    # The columns hold each distinct character once, and specializing them
+    # gives `weight_of` of each.
+    compiled = bott._compile(h4_points)
+    characters = _characters_of(compiled)
     occurrences = Counter(m for p in h4_points for m in p.tangent + p.fiber)
     assert (len(occurrences), occurrences.total()) == (395, 13104)
-    assert calls == Counter(occurrences.keys())
+    assert Counter(characters) == Counter(occurrences.keys())
+    tangent = {m for p in h4_points for m in p.tangent}
+    assert set(characters[:len(compiled.tangent_columns[0])]) == tangent
+    for w in (DEFAULT_WEIGHTS, (1, 1, 1, 1, 1), (-3, 0, 7, 2, -9)):
+        assert bott._specialize(compiled.columns, w) == [weight_of(m, w) for m in characters]
+    assert bott_sum(h4_points, DEFAULT_WEIGHTS).value == Fraction(6028452)
+
+
+def test_each_hyperplane_shares_its_three_directions(h4_points):
+    # Every tangent in hyperplane i holds the directions x_j / x_i, which
+    # the compiled form multiplies once per group.
+    compiled = bott._compile(h4_points)
+    characters = _characters_of(compiled)
+    linear = invariant_sections(4, 1)
+    for i, group in enumerate(compiled.groups, start=1):
+        assert {h4_points[k].hyperplane for k in group.indices} == {i}
+        directions = {x / linear[i - 1] for x in linear if x != linear[i - 1]}
+        assert set(group.shared(characters)) == directions
+        assert {len(gather(characters)) for gather in group.tangents} == {10}
 
 
 def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
@@ -413,7 +509,7 @@ def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     assert validate_weights(points, DEFAULT_WEIGHTS)
     bott_sum(list(points), DEFAULT_WEIGHTS)
     assert bott._held is held
-    assert len(held.tangent_characters) == 280
+    assert (len(held.columns[0]), len(held.tangent_columns[0])) == (395, 280)
 
     # A point replaced in place, the length kept: zero at `w` only on the new character.
     w, _ = random_weight_search(0, 1, 10_000, points)

@@ -46,7 +46,7 @@ def module_env() -> dict[str, str]:
 @contextmanager
 def prebuilt(h3_points, h4_points):
     """Serve the shared fixture points to `cli` in place of rebuilding them."""
-    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points), \
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda centers=None: h3_points), \
             mock.patch.object(fixedpoints, "assemble_h4", lambda h3: h4_points):
         yield
 
@@ -472,8 +472,8 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
 
 
 def test_run_checks_builds_once(monkeypatch):
-    # The real, unpatched build: the points are built once.  `enumerate_h3`
-    # builds its own centers, so the centers are built twice.
+    # The real, unpatched build: the centers and the points are built once;
+    # `enumerate_h3` takes the centers the checks use.
     calls = Counter()
 
     def counted(name, fn):
@@ -486,13 +486,13 @@ def test_run_checks_builds_once(monkeypatch):
         monkeypatch.setattr(fixedpoints, name, counted(name, getattr(fixedpoints, name)))
     results = checks.run_checks()
     assert [r.name for r in results if not r.ok] == []
-    assert calls == {"enumerate_h3": 1, "assemble_h4": 1, "stage1_centers": 2, "stage2_centers": 2}
+    assert calls == {"enumerate_h3": 1, "assemble_h4": 1, "stage1_centers": 1, "stage2_centers": 1}
 
 
 def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
     # The library call itself, not only `verify`, reports the build error
     # as one failed result.
-    monkeypatch.setattr(fixedpoints, "enumerate_h3", lambda: h3_points[:125])
+    monkeypatch.setattr(fixedpoints, "enumerate_h3", lambda centers=None: h3_points[:125])
     [result] = checks.run_checks()
     assert (result.name, result.ok) == ("build", False)
     assert "125" in result.detail
@@ -541,6 +541,22 @@ def test_count_imports_neither_dataclasses_nor_inspect(argv):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["count"], ["count", "--seed", "3"]], ids=" ".join)
+def test_count_loads_random_only_for_a_search(argv):
+    # `bott` imports `random` inside the weight search alone.  `-S` skips
+    # `site`, whose start-up files may import `random` themselves, and
+    # `-X importtime` lists on stderr every module the run imports.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "quartics.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "6028452\n"), proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "quartics.bott" in imported
+    assert ("random" in imported) == ("--seed" in argv)
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_checks", lambda *a, **k: [checks.CheckResult("census", False, "broken")]
@@ -554,7 +570,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
     # A build that trips one of its own invariants (here assemble_h4's
     # point count) is a failed verification, not a traceback.
-    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points[:-1]):
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda centers=None: h3_points[:-1]):
         code, out, err = run(["verify"], capsys)
         assert code == 1
         assert out.startswith("FAIL") and "125" in out.splitlines()[0]
