@@ -270,7 +270,8 @@ def bott_sum(
     """
     compiled = _compile(points)
     weights = _specialize(compiled.columns, w)
-    sums, denominators, kept = [], [], []
+    sums, denominators = [], []
+    terms: list[Fraction] = [Fraction(0)] * len(compiled.points) if keep_terms else []
     for group in compiled.groups:
         shared = math.prod(group.shared(weights))
         rests = [math.prod(gather(weights)) for gather in group.tangents]
@@ -280,13 +281,10 @@ def bott_sum(
         common = math.lcm(*rests)
         sums.append(sum(n * (common // r) for n, r in zip(numerators, rests)))
         denominators.append(common * shared)
-        kept.append((group.indices, shared, rests, numerators))
+        if keep_terms:
+            for i, r, n in zip(group.indices, rests, numerators):
+                terms[i] = Fraction(n, shared * r)
     common = math.lcm(*denominators)
     value = Fraction(sum(s * (common // d) for s, d in zip(sums, denominators)), common)
-    if not keep_terms:
-        return LocalizationResult(value)
-    terms: list[Fraction] = [Fraction(0)] * len(compiled.points)
-    for indices, shared, rests, numerators in kept:
-        for i, r, n in zip(indices, rests, numerators):
-            terms[i] = Fraction(n, shared * r)
-    return LocalizationResult(value, tuple(zip((p.label for p in compiled.points), terms)))
+    labels = (p.label for p in compiled.points)
+    return LocalizationResult(value, tuple(zip(labels, terms)) if keep_terms else None)

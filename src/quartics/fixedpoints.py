@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import chain, combinations, groupby, permutations, product, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections
@@ -190,8 +190,7 @@ def stage1_centers() -> list[BlowupCenterDatum]:
     ['x0^2*x1^-1*x3^-1', 'x0^2*x1^-1*x2^-1', 'x1^-1*x2^2*x3^-1',
      'x1^-1*x2', 'x1^-1*x3', 'x1^-1*x2^-1*x3^2']
     """
-    linear = invariant_sections(3, 1)
-    return [_stage1_center(ell, pair) for ell, pair in product(linear, combinations(linear, 2))]
+    return list(_tower()[0])
 
 
 def _stage1_center(ell: LaurentMonomial, pencil: Sequence[LaurentMonomial]) -> BlowupCenterDatum:
@@ -218,18 +217,26 @@ def stage2_centers() -> list[BlowupCenterDatum]:
     >>> print(center.lcm_base)
     x1*x2*x3^2
     """
+    return list(_tower()[1])
+
+
+@lru_cache(maxsize=None)
+def _tower() -> tuple[tuple[BlowupCenterDatum, ...], tuple[BlowupCenterDatum, ...]]:
+    """The 9 stage-1 and 12 stage-2 centers, built once; stage 2 finds each parent by its ideal."""
     linear = invariant_sections(3, 1)
-    centers = []
+    stage1 = tuple(starmap(_stage1_center, product(linear, combinations(linear, 2))))
+    parents = {c.base_ideal: c for c in stage1}
+    stage2 = []
     for ell, w in permutations(linear, 2):
-        parent = _stage1_center(ell, (ell, w))
+        parent = parents[MonomialIdeal([ell * ell, ell * w])]
         on_line = [p for p in invariant_sections(3, 2) if p.gcd(ell * w).is_trivial()]
         for q in on_line:
             base = MonomialIdeal([ell * ell, ell * w, ell * q])
             lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
             tangent = grassmann_tangent(MonomialIdeal([ell])) + Counter(lines)
             normal = _difference(blowup_point_tangent(parent, q / (ell * w)), tangent)
-            centers.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
-    return centers
+            stage2.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
+    return stage1, tuple(stage2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +364,9 @@ def stage2_composed_tangent(
     A second-stage center point sits on the exceptional divisor of the
     first blow-up: its base ideal extends a first-stage base by one
     generator lcm * xi.  Locating that parent center and direction, the
-    ambient tangent follows from the blow-up tangent decomposition.  The
-    search among `stage1` cross-checks `stage2_centers`, which knows each
-    parent from its flag.
+    ambient tangent follows from the blow-up tangent decomposition.  This
+    search by generator subsets among `stage1` cross-checks `stage2_centers`,
+    which finds each parent l*<l, w> by the base ideal its flag names.
     """
     parents = [c for c in stage1 if set(c.base_ideal) < set(base)]
     if len(parents) != 1:
@@ -397,15 +404,12 @@ def center_oracle_agreement(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_h3(centers: Sequence[BlowupCenterDatum] | None = None) -> list[FixedPoint]:
-    """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72).
-
-    `centers` are the stage-1 then the stage-2 centers, built here when
-    not given."""
+def enumerate_h3() -> list[FixedPoint]:
+    """All 126 fixed points of the P(2,1,1,1) component (12 + 42 + 72): the
+    Grassmannian's, then those over `stage1_centers` and `stage2_centers`,
+    looked up at call time, so a replaced center list reaches the points."""
     points = grassmann_fixed_points()
-    if centers is None:
-        centers = stage1_centers() + stage2_centers()
-    for center in centers:
+    for center in stage1_centers() + stage2_centers():
         points.extend(blowup_fixed_points(center))
     points.sort(key=FixedPoint.sort_key)
     seen: set[MonomialIdeal] = set()

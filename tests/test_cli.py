@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -46,7 +47,7 @@ def module_env() -> dict[str, str]:
 @contextmanager
 def prebuilt(h3_points, h4_points):
     """Serve the shared fixture points to `cli` in place of rebuilding them."""
-    with mock.patch.object(fixedpoints, "enumerate_h3", lambda centers=None: h3_points), \
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points), \
             mock.patch.object(fixedpoints, "assemble_h4", lambda h3: h4_points):
         yield
 
@@ -472,8 +473,9 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
 
 
 def test_run_checks_builds_once(monkeypatch):
-    # The real, unpatched build: the centers and the points are built once;
-    # `enumerate_h3` takes the centers the checks use.
+    # The real, unpatched build: the points are built once, and the 9
+    # stage-1 centers once per process, the stage-2 parents among them; a
+    # later build of the points takes the same centers.
     calls = Counter()
 
     def counted(name, fn):
@@ -482,20 +484,47 @@ def test_run_checks_builds_once(monkeypatch):
             return fn(*args)
         return call
 
-    for name in ("enumerate_h3", "assemble_h4", "stage1_centers", "stage2_centers"):
+    for name in ("enumerate_h3", "assemble_h4", "_stage1_center"):
         monkeypatch.setattr(fixedpoints, name, counted(name, getattr(fixedpoints, name)))
+    fixedpoints._tower.cache_clear()
     results = checks.run_checks()
     assert [r.name for r in results if not r.ok] == []
-    assert calls == {"enumerate_h3": 1, "assemble_h4": 1, "stage1_centers": 1, "stage2_centers": 1}
+    assert calls == {"enumerate_h3": 1, "assemble_h4": 1, "_stage1_center": 9}
+    fixedpoints.enumerate_h3()
+    assert calls == {"enumerate_h3": 2, "assemble_h4": 1, "_stage1_center": 9}
+
+
+def test_checks_and_count_leave_the_shared_centers_unchanged(capsys):
+    # Every build reads the same center records, so no caller may edit
+    # their Counters in place.
+    centers = fixedpoints.stage1_centers() + fixedpoints.stage2_centers()
+    before = [(Counter(c.tangent_to_center), Counter(c.normal_basis)) for c in centers]
+    assert [r.name for r in checks.run_checks() if not r.ok] == []
+    assert run(["count"], capsys)[:2] == (0, "6028452\n")
+    after = fixedpoints.stage1_centers() + fixedpoints.stage2_centers()
+    assert all(map(operator.is_, after, centers))
+    assert [(c.tangent_to_center, c.normal_basis) for c in after] == before
 
 
 def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
     # The library call itself, not only `verify`, reports the build error
     # as one failed result.
-    monkeypatch.setattr(fixedpoints, "enumerate_h3", lambda centers=None: h3_points[:125])
+    monkeypatch.setattr(fixedpoints, "enumerate_h3", lambda: h3_points[:125])
     [result] = checks.run_checks()
     assert (result.name, result.ok) == ("build", False)
     assert "125" in result.detail
+
+
+def test_verify_counts_the_points_it_was_given(h3_points, h4_points):
+    # The 504 is stated by the census alone: one h4 point short fails it,
+    # and the other details count the points they saw.  The Bott sum
+    # without the point depends on the weights.
+    with prebuilt(h3_points, h4_points[:-1]):
+        results = {r.name: r for r in checks.run_checks()}
+    assert [name for name, r in results.items() if not r.ok] == ["census", "weight-independence"]
+    assert results["census"].detail == "12/42/72 = 126 points, 503 after hyperplane assembly"
+    assert results["tangent-dimensions"].detail == "tangent sums [10] on 126 points, [13] on 503"
+    assert results["fiber-ranks"].detail == "degree-6 fiber sums [13] on all 503 points"
 
 
 def test_run_checks_reports_a_range_too_wide(h3_points, h4_points):
@@ -570,7 +599,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
     # A build that trips one of its own invariants (here assemble_h4's
     # point count) is a failed verification, not a traceback.
-    with mock.patch.object(fixedpoints, "enumerate_h3", lambda centers=None: h3_points[:-1]):
+    with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points[:-1]):
         code, out, err = run(["verify"], capsys)
         assert code == 1
         assert out.startswith("FAIL") and "125" in out.splitlines()[0]
