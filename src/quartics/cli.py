@@ -12,12 +12,14 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 141 (128 + SIGPIPE) when the reader closes stdout early.
 Informational notes go to stderr; stdout carries only the results, so
-JSON output is always parseable.
+JSON output is always parseable.  A closed or broken stderr drops the
+notes and changes neither stdout nor the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Sequence
@@ -35,6 +37,15 @@ EXIT_BROKEN_PIPE = 141
 
 def _fraction_json(value):
     return int(value) if value.denominator == 1 else str(value)
+
+
+def _note(line: str) -> None:
+    """Print a note to stderr, or drop it when stderr is closed or fails."""
+    if sys.stderr is not None:  # when None, print would write to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:  # stderr buffers nothing, so the final flush cannot fail
+            pass
 
 
 def _print_json(payload) -> None:
@@ -82,9 +93,9 @@ def cmd_count(args) -> int:
             ]
         _print_json(payload)
     else:
-        print(f"weights: {' '.join(map(str, weights))}", file=sys.stderr)
+        _note(f"weights: {' '.join(map(str, weights))}")
         if attempts is not None:
-            print(f"attempts: {attempts}", file=sys.stderr)
+            _note(f"attempts: {attempts}")
         if args.show_terms:
             for label, term in result.per_point_terms:
                 print(f"{term}\t{label}")
@@ -108,7 +119,7 @@ def cmd_fixed_points(args) -> int:
     per_hyperplane = "" if args.h3_only else " (126 per hyperplane x 4)"
     counts_line = f"counts: {summary} total={len(points)}{per_hyperplane}"
     if args.json:
-        print(counts_line, file=sys.stderr)
+        _note(counts_line)
         records = [fixedpoints.fixed_point_record(p) for p in points]
         print("[", ",\n".join(records), "]", sep="\n")
     else:
@@ -133,9 +144,9 @@ def cmd_verify(args) -> int:
             print(f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}")
     failed = sum(1 for r in results if not r.ok)
     if failed:
-        print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
+        _note(f"{failed} of {len(results)} checks failed")
         return EXIT_VERIFICATION_FAILURE
-    print(f"all {len(results)} checks passed", file=sys.stderr)
+    _note(f"all {len(results)} checks passed")
     return EXIT_OK
 
 
@@ -209,14 +220,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_args(args)
         return args.func(args)
     except (ConfigError, bott.WeightSearchExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_INVALID_CONFIG
     except BrokenPipeError:
-        # The reader is gone; send what is still buffered to devnull so
-        # that the interpreter's final flush cannot raise again.
+        # Notes never raise, so stdout's reader is gone; send what is still
+        # buffered to devnull so that the interpreter's final flush cannot
+        # raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
 
 
+def entry() -> int:
+    """`main` as a process: the ``quartics`` script and ``python -m quartics.cli``.
+
+    A run's data is acyclic (a whole ``count`` leaves the collector 37
+    unreachable objects), so the process runs without the collector and
+    freezes every object before exit, sparing the final collection pass.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import importlib
 import io
 import json
 import operator
@@ -570,20 +572,81 @@ def test_count_imports_neither_dataclasses_nor_inspect(argv):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["count"], ["count", "--seed", "3"]], ids=" ".join)
-def test_count_loads_random_only_for_a_search(argv):
-    # `bott` imports `random` inside the weight search alone.  `-S` skips
-    # `site`, whose start-up files may import `random` themselves, and
-    # `-X importtime` lists on stderr every module the run imports.
+def imported_modules(argv: list[str]) -> tuple[str, set[str]]:
+    """Stdout of a `python -S -m quartics.cli` run and the modules it imports.
+
+    `-S` skips `site`, whose start-up files may import anything, and
+    `-X importtime` lists on stderr every module the run imports.
+    """
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "quartics.cli", *argv],
         capture_output=True, text=True, timeout=60, env=module_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "6028452\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.stdout, imported
+
+
+@pytest.mark.parametrize("argv", [["count"], ["count", "--seed", "3"]], ids=" ".join)
+def test_count_loads_random_only_for_a_search(argv):
+    # `bott` imports `random` inside the weight search alone.
+    out, imported = imported_modules(argv)
+    assert out == "6028452\n"
     assert "quartics.bott" in imported
     assert ("random" in imported) == ("--seed" in argv)
+
+
+@pytest.mark.parametrize("argv", [["count"], ["fixed-points", "--json"]], ids=" ".join)
+def test_only_a_sum_loads_fractions(argv):
+    # `bott` imports `Fraction` inside `bott_sum` alone, so the dump, which
+    # never sums, loads neither `fractions` nor the `decimal` it imports.
+    _, imported = imported_modules(argv)
+    assert "quartics.bott" in imported
+    summed = argv == ["count"]
+    assert ("fractions" in imported, "decimal" in imported) == (summed, summed)
+
+
+@pytest.mark.parametrize(
+    "argv", [["count"], ["fixed-points", "--json"], ["verify", "--json"]], ids=" ".join
+)
+def test_main_leaves_the_collector_alone(argv, capsys):
+    # Tests and library callers run `main` in-process; only `entry`, the
+    # process entry point, switches the collector off.
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(argv, capsys)[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize(
+    "call, argv, code",
+    [
+        ("import quartics.cli as cli; sys.exit(cli.entry())", "count --weights 1 1 1 1 1", 2),
+        ("import runpy; runpy.run_module('quartics.cli', run_name='__main__')", "count", 0),
+    ],
+    ids=["entry", "__main__"],
+)
+def test_a_process_runs_main_without_the_collector(call, argv, code):
+    # An atexit hook reports the collector's state as the process ends.
+    script = (
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+        + call
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ("6028452\n" if code == 0 else "") + "False True\n"
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["quartics"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -706,6 +769,35 @@ def test_closed_stdout_exits_141(argv, first_line):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+@pytest.mark.parametrize("stderr", ["closed", "broken"])
+@pytest.mark.parametrize(
+    "argv",
+    ["count", "count --seed 3", "fixed-points --json", "verify --json", "count --weights 1 1 1 1 1"],
+)
+def test_a_closed_or_broken_stderr_changes_no_result(stderr, argv, capsys):
+    # A closed fd 2 makes `sys.stderr` None, where `print` would write to
+    # stdout; a pipe with no reader fails each write.  Either way the notes
+    # are dropped, and stdout and the exit code are those of a working run.
+    code, out, _ = run(argv.split(), capsys)
+    command = [sys.executable, "-m", "quartics.cli", *argv.split()]
+    if stderr == "closed":
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" 2>&-', "sh", *command],
+            stdout=subprocess.PIPE, text=True, timeout=60, env=module_env(),
+        )
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                command, stdout=subprocess.PIPE, stderr=write, text=True, timeout=60,
+                env=module_env(),
+            )
+        finally:
+            os.close(write)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 @pytest.mark.parametrize("command", ["count --seed 0", "verify"])
