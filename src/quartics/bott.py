@@ -49,14 +49,12 @@ import math
 import operator
 import sys
 from collections import defaultdict
+from fractions import Fraction
 from itertools import count, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
 from .repring import LaurentMonomial
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 #: The default one-parameter subgroup; the headline count 6028452 is
 #: reproduced bit-exactly with these weights.
@@ -270,7 +268,6 @@ def bott_sum(
     product raises with the message of `zero_weight_error`.  Exact
     arithmetic makes the result independent of summation order.
     """
-    from fractions import Fraction  # here alone, so that the dump never loads it
     compiled = _compile(points)
     weights = _specialize(compiled.columns, w)
     sums, denominators = [], []

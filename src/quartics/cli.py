@@ -11,9 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 141 (128 + SIGPIPE) when the reader closes stdout early.
-Informational notes go to stderr; stdout carries only the results, so
-JSON output is always parseable.  A closed or broken stderr drops the
-notes and changes neither stdout nor the exit code.
+Informational notes go to stderr (dropped if it is closed or broken);
+stdout carries only the results, so JSON output is always parseable.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def _note(line: str) -> None:
     if sys.stderr is not None:  # when None, print would write to stdout
         try:
             print(line, file=sys.stderr)
-        except OSError:  # stderr buffers nothing, so the final flush cannot fail
+        except OSError:  # the refused note stays buffered; `entry` drops it
             pass
 
 
@@ -223,9 +222,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         _note(f"error: {exc}")
         return EXIT_INVALID_CONFIG
     except BrokenPipeError:
-        # Notes never raise, so stdout's reader is gone; send what is still
-        # buffered to devnull so that the interpreter's final flush cannot
-        # raise again.
+        # Notes never raise, so stdout's reader is gone; what stdout still
+        # buffers goes to devnull, so that the final flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
 
@@ -237,11 +235,17 @@ def entry() -> int:
     unreachable objects), so the process runs without the collector and
     freezes every object before exit, sparing the final collection pass.
     """
+    if sys.stderr is None:  # fd 2 closed: argparse would print usage to stdout
+        sys.stderr = open(os.devnull, "w")
     gc.disable()
     try:
         return main()
     finally:
         gc.freeze()
+        try:  # a broken stderr keeps what it refused; a failed final flush exits 120
+            sys.stderr.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 if __name__ == "__main__":
