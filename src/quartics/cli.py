@@ -217,7 +217,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # output that fits the buffer fails here, not at exit
+            sys.stdout.flush()
+        return code
     except (ConfigError, bott.WeightSearchExhausted) as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID_CONFIG

@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, groupby, permutations, product, starmap
+from itertools import chain, combinations, permutations, product, starmap
 from typing import Iterable, NamedTuple, Sequence
 
 from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections
@@ -82,11 +82,12 @@ class FixedPoint(NamedTuple):
     def sort_key(self) -> tuple:
         # The ideal's exponents are negated so that an ascending sort lists
         # ideals in the descending-lexicographic convention of monomial
-        # terms ((x0^2, x1^2) before (x2^2, x3^2)).
+        # terms ((x0^2, x1^2) before (x2^2, x3^2)).  Every generator has
+        # nvars exponents, so the flat exponents order as the generators do.
         return (
-            self.hyperplane if self.hyperplane is not None else 0,
+            self.hyperplane or 0,
             STAGES.index(self.stage),
-            tuple(tuple(map(operator.neg, g)) for g in self.ideal),
+            tuple(map(operator.neg, chain.from_iterable(self.ideal))),
         )
 
 
@@ -258,7 +259,9 @@ def blowup_point_tangent(
         raise ValueError(f"{direction} is not a normal direction of {center.base_ideal}")
     lines = [direction]
     lines.extend(eta / direction for eta in directions if eta != direction)
-    return center.tangent_to_center + Counter(lines)
+    tangent = center.tangent_to_center.copy()
+    tangent.update(lines)
+    return tangent
 
 
 def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
@@ -337,17 +340,15 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
         ideal = MonomialIdeal(gens)
         adjoined = None
         for gi, gj in combinations(gens, 2):
-            lcm = gi.lcm(gj)
             # t-coefficient of the lifted syzygy (lcm/gi)*gi(t) - (lcm/gj)*gj(t):
             # both contributions sit on the single monomial direction * lcm.
-            net = coeffs[gi] - coeffs[gj]
-            if net == 0:
+            if coeffs[gi] == coeffs[gj]:
                 continue
-            remainder = direction * lcm
-            if ideal.contains(remainder):
-                continue  # cancels against a current generator
+            remainder = direction * gi.lcm(gj)
             if remainder.degree > degree_bound:
                 continue  # beyond the first-order truncation
+            if ideal.contains(remainder):
+                continue  # cancels against a current generator
             adjoined = remainder
             break
         if adjoined is None:
@@ -429,7 +430,9 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     no other order of x1, x2, x3 would change the points.  The ideal gains
     the generator x_i, the tangent space the hyperplane's three directions
     x_j / x_i (j != i), and the fiber is recomputed in the five-character
-    ring.  The carried generators and x_i make up one ideal, reduced once.
+    ring.  The carried generators and x_i need no reduction: the embedding
+    keeps x0 exponents and divisibility, and x_i neither divides nor is
+    divided by a nonconstant generator without x_i.
     Each hyperplane carries each distinct character of the 126 points once,
     into one map, and takes its directions Hom(x_i, V[1]/x_i) once from
     `grassmann_tangent`; each tangent is the carried characters and the
@@ -441,11 +444,12 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
     for i, x_i in enumerate(linear, start=1):
-        carried = {m: LaurentMonomial((*m[:i], 0, *m[i:])) for m in characters}.__getitem__
+        carried = {m: tuple.__new__(LaurentMonomial, (*m[:i], 0, *m[i:])) for m in characters}
         directions = tuple(grassmann_tangent(MonomialIdeal([x_i])).elements())
         for point in h3:
-            ideal = MonomialIdeal([*map(carried, point.ideal), x_i])
-            tangent = chain(map(carried, point.tangent), directions)
+            gens = sorted([*map(carried.__getitem__, point.ideal), x_i], reverse=True)
+            ideal = tuple.__new__(MonomialIdeal, gens)
+            tangent = chain(map(carried.__getitem__, point.tangent), directions)
             points.append(_fixed_point(point.stage, ideal, tangent, i))
     points.sort(key=FixedPoint.sort_key)
     return points
@@ -475,13 +479,17 @@ def lemma_injectivity_check(I: MonomialIdeal) -> bool:
     """
     if I.nvars != 4:
         raise ValueError(f"expected four characters: {I}")
-    multipliers = invariant_sections(3, 1)
-    for m in invariant_sections(3, 3):
-        if I.contains(m):
-            continue
-        if all(I.contains(x * m) for x in multipliers):
-            return False
-    return True
+    return not any(
+        not I.contains(m) and all(map(I.contains, multiples)) for m, multiples in _cubic_multiples()
+    )
+
+
+@lru_cache(maxsize=None)
+def _cubic_multiples() -> tuple[tuple[LaurentMonomial, tuple[LaurentMonomial, ...]], ...]:
+    """Each invariant cubic with its multiples by x1, x2, x3."""
+    return tuple(
+        (m, tuple(x * m for x in invariant_sections(3, 1))) for m in invariant_sections(3, 3)
+    )
 
 
 def census(points: Iterable[FixedPoint]) -> dict[str, int]:
@@ -498,8 +506,9 @@ def census(points: Iterable[FixedPoint]) -> dict[str, int]:
 
 
 def multiplicities(characters: Sequence[LaurentMonomial]) -> list[tuple[LaurentMonomial, int]]:
-    """(character, multiplicity) pairs of a canonical character tuple, in its order."""
-    return [(m, sum(1 for _ in run)) for m, run in groupby(characters)]
+    """(character, multiplicity) pairs of a canonical character tuple, in its order
+    (equal characters are adjacent there, and a Counter keeps insertion order)."""
+    return list(Counter(characters).items())
 
 
 @lru_cache(maxsize=None)
@@ -508,15 +517,18 @@ def _json_string(m: LaurentMonomial) -> str:
     return f'"{m}"'
 
 
+@lru_cache(maxsize=None)
+def _tangent_entry(m: LaurentMonomial, k: int) -> str:
+    """A (character, multiplicity) pair as its tangent entry of the dump."""
+    return f'{{\n        "monomial": {_json_string(m)},\n        "multiplicity": {k}\n      }}'
+
+
 def fixed_point_record(point: FixedPoint) -> str:
     """The point's element of the JSON dump, the text `json.dumps` writes
     with indent=2 for its record at depth 1: ideal and fiber as monomial
     strings in canonical order, tangent as (monomial, multiplicity) pairs."""
     sep = ",\n      "
-    tangent = sep.join(
-        f'{{\n        "monomial": {_json_string(m)},\n        "multiplicity": {k}\n      }}'
-        for m, k in multiplicities(point.tangent)
-    )
+    tangent = sep.join(starmap(_tangent_entry, multiplicities(point.tangent)))
     hyperplane = "null" if point.hyperplane is None else point.hyperplane
     return (
         f'  {{\n    "stage": "{point.stage}",\n    "hyperplane": {hyperplane},\n'

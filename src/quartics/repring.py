@@ -84,8 +84,9 @@ class LaurentMonomial(tuple):
                 f"mismatched character count: {len(self)} vs {len(other)}"
             )
 
-    # A product or quotient of two monomials has integer exponents already,
-    # so it builds its tuple without the conversion in __new__.
+    # A product, quotient, lcm or gcd of two monomials has integer exponents
+    # already, so it builds its tuple without the conversion in __new__.
+    # A query tests the lengths inline and calls the guard only to raise.
 
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
@@ -97,16 +98,17 @@ class LaurentMonomial(tuple):
 
     def divides(self, other: "LaurentMonomial") -> bool:
         """True when other/self has no negative exponent."""
-        self._require_same_ring(other)
+        if len(self) != len(other):
+            self._require_same_ring(other)
         return all(map(operator.le, self, other))
 
     def lcm(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(map(max, self, other))
+        return tuple.__new__(LaurentMonomial, map(max, self, other))
 
     def gcd(self, other: "LaurentMonomial") -> "LaurentMonomial":
         self._require_same_ring(other)
-        return LaurentMonomial(map(min, self, other))
+        return tuple.__new__(LaurentMonomial, map(min, self, other))
 
     # -- rendering -------------------------------------------------------
 
@@ -173,7 +175,9 @@ class MonomialIdeal(tuple):
         return len(self[0])
 
     def contains(self, monomial: LaurentMonomial) -> bool:
-        return any(g.divides(monomial) for g in self)
+        if len(self[0]) != len(monomial):
+            self[0]._require_same_ring(monomial)
+        return any(all(map(operator.le, g, monomial)) for g in self)
 
     def has_common_factor(self) -> bool:
         """True when all generators share a nontrivial monomial factor."""

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import pytest
 
-from quartics.fixedpoints import FixedPoint, assemble_h4, enumerate_h3, multiplicities
+from quartics.fixedpoints import FixedPoint, assemble_h4, enumerate_h3
 from quartics.repring import LaurentMonomial, MonomialIdeal
 
 
@@ -49,13 +50,15 @@ def remap(m: LaurentMonomial, perm: Sequence[int], nvars: int) -> LaurentMonomia
 def record_dict(point: FixedPoint) -> dict:
     """A point's dump record as a dict, the independent oracle for the text
     of `fixedpoints.fixed_point_record`: ideal and fiber as monomial strings
-    in canonical order, tangent as (monomial, multiplicity) pairs."""
+    in canonical order, tangent as (monomial, multiplicity) pairs, one per
+    run of equal characters."""
     return {
         "stage": point.stage,
         "hyperplane": point.hyperplane,
         "ideal": [str(g) for g in point.ideal],
         "tangent": [
-            {"monomial": str(m), "multiplicity": k} for m, k in multiplicities(point.tangent)
+            {"monomial": str(m), "multiplicity": len(list(run))}
+            for m, run in groupby(point.tangent)
         ],
         "fiber": list(map(str, point.fiber)),
     }

@@ -734,22 +734,51 @@ def test_invalid_arguments_exit_2(argv, named, capsys):
 
 @pytest.mark.parametrize(
     "argv, first_line",
-    [(["fixed-points"], b"counts: "), (["fixed-points", "--json"], b"[\n")],
-    ids=["fixed-points", "fixed-points --json"],
+    [
+        (["fixed-points"], b"counts: "), (["fixed-points", "--json"], b"[\n"),
+        (["count"], None), (["count", "--json"], None), (["verify", "--json"], None),
+    ],
+    ids=["fixed-points", "fixed-points --json", "count", "count --json", "verify --json"],
 )
 def test_closed_stdout_exits_141(argv, first_line):
     # Both dumps (about 195 KB of text, 678 KB of JSON) outgrow the pipe
     # buffer, so writing fails once the reader has closed its end after
-    # the first line.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quartics.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
-    )
-    assert proc.stdout.readline().startswith(first_line)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
+    # the first line.  The other outputs fit in stdout's buffer, which is
+    # block-buffered as by default: with the reader gone before the start,
+    # only the flush at the end of the run can fail.
+    command = [sys.executable, "-m", "quartics.cli", *argv]
+    env = {k: v for k, v in module_env().items() if k != "PYTHONUNBUFFERED"}
+    if first_line is None:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                command, stdout=write, stderr=subprocess.PIPE, timeout=60, env=env
+            )
+        finally:
+            os.close(write)
+        err = proc.stderr
+    else:
+        proc = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert proc.stdout.readline().startswith(first_line)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_a_closed_stdout_fd_exits_0():
+    # A closed fd 1 makes `sys.stdout` None: print drops the result, and
+    # nothing is left to flush.
+    command = [sys.executable, "-m", "quartics.cli", "count"]
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", *command],
+        stderr=subprocess.PIPE, timeout=60, env=module_env(),
+    )
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("stderr", ["closed", "broken"])

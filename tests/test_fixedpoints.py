@@ -12,6 +12,7 @@ from quartics.fixedpoints import (
     STAGE_BLOWUP1,
     STAGE_BLOWUP2,
     STAGE_GRASSMANNIAN,
+    STAGES,
     BlowupCenterDatum,
     FixedPoint,
     assemble_h4,
@@ -506,10 +507,22 @@ def test_h3_lemma_holds_everywhere(h3_points):
     assert all(lemma_injectivity_check(p.ideal) for p in h3_points)
 
 
-def test_h3_canonical_order_is_stable(h3_points):
+def nested_order_key(point: FixedPoint) -> tuple:
+    """The canonical point order spelled out, the oracle for
+    `FixedPoint.sort_key`: hyperplane, stage, then the generators with
+    negated exponents as a tuple of tuples."""
+    return (
+        point.hyperplane or 0,
+        STAGES.index(point.stage),
+        tuple(tuple(-e for e in g) for g in point.ideal),
+    )
+
+
+def test_h3_canonical_order_is_stable(h3_points, h4_points):
     assert [p.ideal for p in h3_points] == [p.ideal for p in enumerate_h3()]
-    keys = [p.sort_key() for p in h3_points]
-    assert keys == sorted(keys)
+    for points in (h3_points, h4_points):
+        keys = list(map(nested_order_key, points))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +586,7 @@ def _direct_h4(h3_points, perm_h):
             carried = Counter(remap(m, perm, 5) for m in p.tangent)
             tangent = tuple(sorted((carried + dual).elements(), reverse=True))
             points.append(FixedPoint(p.stage, ideal, tangent, fiber_rep(ideal), i))
-    return sorted(points, key=FixedPoint.sort_key)
+    return sorted(points, key=nested_order_key)
 
 
 @pytest.mark.parametrize("perm_h", [CYCLIC_PERM_H, ALT_PERM_H], ids=["cyclic", "relabeled"])

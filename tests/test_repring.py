@@ -113,6 +113,9 @@ def test_mixed_ring_sizes_error():
             op(mono("x1", 5), mono("x1", 4))
     with pytest.raises(ValueError):
         MonomialIdeal([mono("x1", 4), mono("x2", 5)])
+    for small, large in ((4, 5), (5, 4)):
+        with pytest.raises(ValueError):
+            MonomialIdeal([mono("x1", small)]).contains(mono("x1", large))
 
 
 # ---------------------------------------------------------------------------
