@@ -80,13 +80,13 @@ def _center_tables(centers, ambient, source: str) -> tuple[bool, str]:
     for c in centers:
         normal = ambient(c.base_ideal)
         normal.subtract(c.tangent_to_center)  # keeps what `-` would drop
-        stored = c.normal_basis
+        stored = Counter(c.normal_basis)
         off = next((m for m in sorted(normal.keys() | stored.keys(), reverse=True)
                     if (normal[m], stored[m]) not in ((0, 0), (1, 1))), None)
         if off is not None:
             bad.append(f"{c.base_ideal}: {off} has multiplicity {normal[off]} in "
                        f"{source} minus the center tangent, {stored[off]} stored")
-        elif stored.total() != 6 or any(m.degree for m in stored if stored[m]):
+        elif len(c.normal_basis) != 6 or any(m.degree for m in c.normal_basis):
             bad.append(f"{c.base_ideal}: not 6 degree-0 characters")
     if bad:
         return False, f"mismatch at {'; '.join(bad)}"
@@ -108,7 +108,7 @@ def _flat_limit_oracle(b: Build) -> tuple[bool, str]:
     directions = 0
     for center in b.stage1 + b.stage2:
         mismatches += [(center.base_ideal, *m) for m in fixedpoints.center_oracle_agreement(center)]
-        directions += len(center.directions)
+        directions += len(center.normal_basis)
     if not mismatches:
         return True, f"flat limits match closed-form ideals in {directions} directions"
     base, mu, limit, closed = mismatches[0]
@@ -121,7 +121,7 @@ def _flat_limit_oracle(b: Build) -> tuple[bool, str]:
 def _injectivity_lemma(b: Build) -> tuple[bool, str]:
     failing = [p.ideal for p in b.h3 if not fixedpoints.lemma_injectivity_check(p.ideal)]
     if failing:
-        return False, f"fails at {failing[:3]}"
+        return False, f"fails at {', '.join(map(str, failing[:3]))}"
     return True, f"cubic-multiplier condition holds for all {len(b.h3)} ideals"
 
 

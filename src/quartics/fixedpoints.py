@@ -94,24 +94,22 @@ class FixedPoint(NamedTuple):
 class BlowupCenterDatum(NamedTuple):
     """Tangent/normal data at one torus-fixed point of a blow-up center.
 
-    `normal_basis` is the normal space, the ambient tangent minus
+    An immutable record of tuples, built once and shared by every build.
+    `tangent_to_center` and `normal_basis` hold each character repeated by
+    its multiplicity, in canonical (descending) order, as `FixedPoint.tangent`
+    does.  `normal_basis` is the normal space, the ambient tangent minus
     `tangent_to_center`: degree-0 semiinvariant characters, one candidate
-    fixed point per character of `directions`.  `lcm_base` is the least common multiple of
+    fixed point per character.  `lcm_base` is the least common multiple of
     the generator pair whose syzygy is lifted, so the candidate fixed point
     in direction mu acquires the new generator lcm_base * mu.  `stage` tags
     the stage of the points this center produces.
     """
 
     base_ideal: MonomialIdeal
-    tangent_to_center: Counter[LaurentMonomial]
-    normal_basis: Counter[LaurentMonomial]
+    tangent_to_center: tuple[LaurentMonomial, ...]
+    normal_basis: tuple[LaurentMonomial, ...]
     lcm_base: LaurentMonomial
     stage: str
-
-    @property
-    def directions(self) -> tuple[LaurentMonomial, ...]:
-        """The normal characters of positive multiplicity, in canonical order."""
-        return tuple(sorted(+self.normal_basis, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +183,9 @@ def stage1_centers() -> list[BlowupCenterDatum]:
     the rest of the Grassmannian tangent Hom(l*W, V[2]/l*W).
 
     >>> center = next(c for c in stage1_centers() if str(c.base_ideal) == "(x1*x2, x1*x3)")
-    >>> [str(m) for m in _characters(center.tangent_to_center)]
+    >>> [str(m) for m in center.tangent_to_center]
     ['x1*x3^-1', 'x1*x2^-1', 'x1^-1*x2', 'x1^-1*x3']
-    >>> [str(m) for m in _characters(center.normal_basis)]  # doctest: +NORMALIZE_WHITESPACE
+    >>> [str(m) for m in center.normal_basis]  # doctest: +NORMALIZE_WHITESPACE
     ['x0^2*x1^-1*x3^-1', 'x0^2*x1^-1*x2^-1', 'x1^-1*x2^2*x3^-1',
      'x1^-1*x2', 'x1^-1*x3', 'x1^-1*x2^-1*x3^2']
     """
@@ -201,7 +199,7 @@ def _stage1_center(ell: LaurentMonomial, pencil: Sequence[LaurentMonomial]) -> B
     tangent = grassmann_tangent(line) + grassmann_tangent(span)
     lcm = base[0].lcm(base[1])
     normal = _difference(grassmann_tangent(base), tangent)
-    return BlowupCenterDatum(base, tangent, normal, lcm, STAGE_BLOWUP1)
+    return BlowupCenterDatum(base, _characters(tangent), _characters(normal), lcm, STAGE_BLOWUP1)
 
 
 def stage2_centers() -> list[BlowupCenterDatum]:
@@ -213,7 +211,7 @@ def stage2_centers() -> list[BlowupCenterDatum]:
     tangent is the blow-up tangent over the stage-1 center l*W along q/(l*w).
 
     >>> center = next(c for c in stage2_centers() if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
-    >>> [str(m) for m in _characters(center.tangent_to_center)]
+    >>> [str(m) for m in center.tangent_to_center]
     ['x0^2*x3^-2', 'x2^-1*x3', 'x1^-1*x2', 'x1^-1*x3']
     >>> print(center.lcm_base)
     x1*x2*x3^2
@@ -236,7 +234,8 @@ def _tower() -> tuple[tuple[BlowupCenterDatum, ...], tuple[BlowupCenterDatum, ..
             lines = [u / w for u in linear if u not in (ell, w)] + [p / q for p in on_line if p != q]
             tangent = grassmann_tangent(MonomialIdeal([ell])) + Counter(lines)
             normal = _difference(blowup_point_tangent(parent, q / (ell * w)), tangent)
-            stage2.append(BlowupCenterDatum(base, tangent, normal, ell * w * q, STAGE_BLOWUP2))
+            stage2.append(BlowupCenterDatum(base, _characters(tangent), _characters(normal),
+                                            ell * w * q, STAGE_BLOWUP2))
     return stage1, tuple(stage2)
 
 
@@ -254,14 +253,11 @@ def blowup_point_tangent(
     `direction`, and the tangent space of the projectivized normal space
     (one line eta * direction^-1 per other normal character eta).
     """
-    directions = center.directions
-    if direction not in directions:
+    normal = center.normal_basis
+    if direction not in normal:
         raise ValueError(f"{direction} is not a normal direction of {center.base_ideal}")
-    lines = [direction]
-    lines.extend(eta / direction for eta in directions if eta != direction)
-    tangent = center.tangent_to_center.copy()
-    tangent.update(lines)
-    return tangent
+    lines = (eta / direction for eta in normal if eta != direction)
+    return Counter(chain(center.tangent_to_center, (direction,), lines))
 
 
 def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
@@ -273,7 +269,7 @@ def blowup_fixed_points(center: BlowupCenterDatum) -> list[FixedPoint]:
     from this stage's output.
     """
     points = []
-    for mu in center.directions:
+    for mu in center.normal_basis:
         ideal = _blowup_ideal(center, mu)
         if ideal is None:
             raise ValueError(
@@ -392,7 +388,7 @@ def center_oracle_agreement(
     lcm_base * mu has a negative exponent.
     """
     mismatches = []
-    for mu in center.directions:
+    for mu in center.normal_basis:
         closed_form = _blowup_ideal(center, mu)
         limit = limit_ideal_oracle(center.base_ideal, mu)
         if limit != closed_form:
@@ -437,9 +433,12 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     into one map, and takes its directions Hom(x_i, V[1]/x_i) once from
     `grassmann_tangent`; each tangent is the carried characters and the
     directions, sorted.
+    The points come out by hyperplane, 1..4, each in the order of `h3`: for
+    `enumerate_h3`'s output, the canonical order, so they are not sorted again.
     """
     if len(h3) != 126:
-        raise ValueError(f"expected the 126 fixed points, got {len(h3)}")
+        counts = " ".join(f"{stage}={n}" for stage, n in census(h3).items())
+        raise ValueError(f"expected the 126 fixed points, got {len(h3)} ({counts})")
     characters = {m for point in h3 for m in chain(point.ideal, point.tangent)}
     points = []
     linear = invariant_sections(4, 1)  # x1..x4
@@ -451,7 +450,6 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
             ideal = tuple.__new__(MonomialIdeal, gens)
             tangent = chain(map(carried.__getitem__, point.tangent), directions)
             points.append(_fixed_point(point.stage, ideal, tangent, i))
-    points.sort(key=FixedPoint.sort_key)
     return points
 
 

@@ -267,6 +267,11 @@ def lines(*texts: str) -> Counter[LaurentMonomial]:
     return Counter(map(mono, texts))
 
 
+#: A representation as a center stores it: its characters of positive
+#: multiplicity, each repeated by its multiplicity, in canonical order.
+stored = fixedpoints._characters
+
+
 def pencil_center(centers: list[BlowupCenterDatum]) -> BlowupCenterDatum:
     return next(c for c in centers if str(c.base_ideal) == "(x1*x2, x1*x3)")
 
@@ -278,15 +283,8 @@ def test_verify_detects_mutated_center_table(h3_points, h4_points, monkeypatch):
     # mutation.
     centers = stage1_centers()
     first = pencil_center(centers)
-    mutated = BlowupCenterDatum(
-        base_ideal=first.base_ideal,
-        tangent_to_center=first.tangent_to_center,
-        normal_basis=first.normal_basis
-        - lines("x0^2*x1^-1*x2^-1")
-        + lines("x0^2*x2^-1*x3^-1"),
-        lcm_base=first.lcm_base,
-        stage=first.stage,
-    )
+    normal = Counter(first.normal_basis) - lines("x0^2*x1^-1*x2^-1") + lines("x0^2*x2^-1*x3^-1")
+    mutated = first._replace(normal_basis=stored(normal))
     rest = [c for c in centers if c is not first]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [mutated] + rest)
@@ -297,18 +295,20 @@ def test_verify_detects_mutated_center_table(h3_points, h4_points, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ell, pencil, named",
-    [("x2", ("x1", "x3"), "x2*x3^-1"), ("x1", ("x1", "x2"), "x2^-1*x3")],
+    "ell, pencil, named, directions",
+    [("x2", ("x1", "x3"), "x2*x3^-1", 128), ("x1", ("x1", "x2"), "x2^-1*x3", 127)],
     ids=["wrong-l", "wrong-W"],
 )
 def test_verify_detects_center_built_from_a_wrong_pencil(
-    ell, pencil, named, h3_points, h4_points, monkeypatch
+    ell, pencil, named, directions, h3_points, h4_points, monkeypatch
 ):
     # The center (x1*x2, x1*x3) is the pencil l*W with l = x1, W = <x2, x3>.
     # Deriving its tangent Hom(l, V[1]/l) + Hom(W, V[1]/W) from another
     # pair leaves a multiplicity of -1 or 2 in Hom(I, V[2]/I) minus that
     # tangent.  The flat-limit oracle does not notice; stage1-tables does,
-    # and names the first character of multiplicity -1 with both values.
+    # and names the first character of multiplicity -1 with both values:
+    # a stored tuple holds no negative multiplicity, so it holds that
+    # character 0 times.
     centers = stage1_centers()
     real = pencil_center(centers)
     tangent = grassmann_tangent(MonomialIdeal([mono(ell)])) + grassmann_tangent(
@@ -318,7 +318,9 @@ def test_verify_detects_center_built_from_a_wrong_pencil(
     normal = grassmann_tangent(real.base_ideal)
     normal.subtract(tangent)
     assert set(normal.values()) & {-1, 2}
-    wrong = BlowupCenterDatum(real.base_ideal, tangent, normal, real.lcm_base, real.stage)
+    wrong = BlowupCenterDatum(
+        real.base_ideal, stored(tangent), stored(normal), real.lcm_base, real.stage
+    )
     rest = [c for c in centers if c is not real]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: [wrong] + rest)
@@ -326,12 +328,13 @@ def test_verify_detects_center_built_from_a_wrong_pencil(
     assert not results["stage1-tables"].ok
     assert results["stage1-tables"].detail == (
         f"mismatch at (x1*x2, x1*x3): {named} has multiplicity -1 in Hom(I, V[2]/I) "
-        "minus the center tangent, -1 stored"
+        "minus the center tangent, 0 stored"
     )
-    # Only the 7 characters of positive multiplicity are directions: 120 at
-    # the 20 untouched centers, 7 here.
+    # The stored characters are the directions, each by its multiplicity:
+    # 120 at the 20 untouched centers, and here 7 distinct ones, one of
+    # them twice under the wrong l.
     assert results["flat-limit-oracle"].detail == (
-        "flat limits match closed-form ideals in 127 directions"
+        f"flat limits match closed-form ideals in {directions} directions"
     )
 
 
@@ -339,7 +342,7 @@ def test_verify_detects_center_built_from_a_wrong_pencil(
     "old, new, failing",
     [
         # x0^2*x2^-2 is no ambient line: it gets multiplicity -1 in the
-        # derived normal space, so it is no direction for the oracle.
+        # derived normal space, so the stored tuple and the oracle omit it.
         ("x0^2*x3^-2", "x0^2*x2^-2", ["stage2-tables"]),
         ("x3*x2^-1", "x2*x3^-1", ["stage2-tables"]),
     ],
@@ -352,10 +355,10 @@ def test_verify_detects_mutated_stage2_center_tangent(
     # space is derived from the mutated tangent, as `stage2_centers` would.
     centers = stage2_centers()
     real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
-    tangent = real.tangent_to_center - lines(old) + lines(new)
+    tangent = Counter(real.tangent_to_center) - lines(old) + lines(new)
     normal = stage2_composed_tangent(real.base_ideal, stage1_centers())
     normal.subtract(tangent)
-    mutated = BlowupCenterDatum(real.base_ideal, tangent, normal, real.lcm_base, real.stage)
+    mutated = real._replace(tangent_to_center=stored(tangent), normal_basis=stored(normal))
     rest = [c for c in centers if c is not real]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
@@ -374,7 +377,7 @@ def test_verify_reports_a_direction_with_no_closed_form(h3_points, h4_points, ca
     # reports it as a mismatch in place of aborting the suite.
     centers = stage2_centers()
     real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2, x1*x3^2)")
-    mutated = real._replace(normal_basis=real.normal_basis + lines("x0^2*x2^-2"))
+    mutated = real._replace(normal_basis=stored(Counter(real.normal_basis) + lines("x0^2*x2^-2")))
     rest = [c for c in centers if c is not real]
     with prebuilt(h3_points, h4_points):
         monkeypatch.setattr(fixedpoints, "stage2_centers", lambda: [mutated] + rest)
@@ -448,7 +451,7 @@ def test_verify_reports_every_check_when_one_raises(capsys, monkeypatch):
     # check reports, stage1-tables naming the center.
     centers = stage1_centers()
     real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2)")
-    faulty = real._replace(normal_basis=real.normal_basis + lines("x1"))
+    faulty = real._replace(normal_basis=stored(Counter(real.normal_basis) + lines("x1")))
     monkeypatch.setattr(
         fixedpoints, "stage1_centers", lambda: [faulty if c is real else c for c in centers]
     )
@@ -497,15 +500,16 @@ def test_run_checks_builds_once(monkeypatch):
 
 
 def test_checks_and_count_leave_the_shared_centers_unchanged(capsys):
-    # Every build reads the same center records, so no caller may edit
-    # their Counters in place.
+    # Every build reads the same center records: tuples, which no caller
+    # can edit in place, so each center keeps its hash.
     centers = fixedpoints.stage1_centers() + fixedpoints.stage2_centers()
-    before = [(Counter(c.tangent_to_center), Counter(c.normal_basis)) for c in centers]
+    assert all(type(c.tangent_to_center) is type(c.normal_basis) is tuple for c in centers)
+    before = list(map(hash, centers))
     assert [r.name for r in checks.run_checks() if not r.ok] == []
     assert run(["count"], capsys)[:2] == (0, "6028452\n")
     after = fixedpoints.stage1_centers() + fixedpoints.stage2_centers()
     assert all(map(operator.is_, after, centers))
-    assert [(c.tangent_to_center, c.normal_basis) for c in after] == before
+    assert list(map(hash, after)) == before
 
 
 def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
@@ -515,6 +519,57 @@ def test_run_checks_reports_a_broken_build(h3_points, monkeypatch):
     [result] = checks.run_checks()
     assert (result.name, result.ok) == ("build", False)
     assert "125" in result.detail
+    assert "(grassmannian=12 blowup1=42 blowup2=71)" in result.detail
+
+
+def test_run_checks_reports_a_duplicate_ideal(monkeypatch):
+    # A stage-1 center listed twice yields each of its points twice; the
+    # build names the first repeated ideal in canonical order.
+    centers = stage1_centers()
+    twice = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2)")
+    monkeypatch.setattr(fixedpoints, "stage1_centers", lambda: centers + [twice])
+    message = "duplicate fixed-point ideal: (x0^2*x2, x1^2, x1*x2)"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        fixedpoints.enumerate_h3()
+    assert checks.run_checks() == [checks.CheckResult("build", False, f"RuntimeError: {message}")]
+
+
+def test_stage1_tables_count_the_stored_normal_space(h3_points, h4_points, monkeypatch):
+    # One normal direction of (x1^2, x1*x2) moved into the center tangent:
+    # the two still sum to Hom(I, V[2]/I) term for term, but the stored
+    # normal space has 5 characters.
+    centers = stage1_centers()
+    real = next(c for c in centers if str(c.base_ideal) == "(x1^2, x1*x2)")
+    moved = real._replace(
+        tangent_to_center=stored(Counter(real.tangent_to_center + real.normal_basis[:1])),
+        normal_basis=real.normal_basis[1:],
+    )
+    with prebuilt(h3_points, h4_points):
+        monkeypatch.setattr(
+            fixedpoints, "stage1_centers", lambda: [moved if c is real else c for c in centers]
+        )
+        results = {r.name: r for r in checks.run_checks()}
+    assert results["stage1-tables"].detail == "mismatch at (x1^2, x1*x2): not 6 degree-0 characters"
+    assert not results["stage1-tables"].ok
+
+
+@pytest.mark.parametrize(
+    "failing, detail",
+    [
+        (["(x0^2, x3^2)"], "fails at (x0^2, x3^2)"),
+        # Only the first three are named.
+        (["(x0^2, x3^2)", "(x1^2, x2^2)", "(x0^2, x1^2)", "(x2^2, x3^2)"],
+         "fails at (x0^2, x1^2), (x0^2, x3^2), (x1^2, x2^2)"),
+    ],
+    ids=["one", "first-three"],
+)
+def test_verify_names_the_ideals_failing_the_lemma(
+    failing, detail, h3_points, h4_points, monkeypatch
+):
+    monkeypatch.setattr(fixedpoints, "lemma_injectivity_check", lambda I: str(I) not in failing)
+    with prebuilt(h3_points, h4_points):
+        results = checks.run_checks()
+    assert [(r.name, r.detail) for r in results if not r.ok] == [("injectivity-lemma", detail)]
 
 
 def test_verify_counts_the_points_it_was_given(h3_points, h4_points):
@@ -646,12 +701,14 @@ def test_verify_reports_a_broken_build_as_a_failed_check(h3_points, capsys):
     with mock.patch.object(fixedpoints, "enumerate_h3", lambda: h3_points[:-1]):
         code, out, err = run(["verify"], capsys)
         assert code == 1
+        census = "(grassmannian=12 blowup1=42 blowup2=71)"
         assert out.startswith("FAIL") and "125" in out.splitlines()[0]
+        assert census in out.splitlines()[0]
         assert "Traceback" not in err
         code, out, _ = run(["verify", "--json"], capsys)
     assert code == 1
     [result] = json.loads(out)
-    assert not result["ok"] and "125" in result["detail"]
+    assert not result["ok"] and "125" in result["detail"] and census in result["detail"]
     # So is a blow-up tangent with a character taken out that it does not
     # hold: the guarded difference rejects the negative multiplicity that
     # Counter `-` would drop.

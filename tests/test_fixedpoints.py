@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -13,7 +14,6 @@ from quartics.fixedpoints import (
     STAGE_BLOWUP2,
     STAGE_GRASSMANNIAN,
     STAGES,
-    BlowupCenterDatum,
     FixedPoint,
     assemble_h4,
     blowup_fixed_points,
@@ -121,11 +121,17 @@ def test_grassmannian_orbits_under_cyclic_relabeling():
 # ---------------------------------------------------------------------------
 
 
+def canonical(characters: tuple[LaurentMonomial, ...]) -> bool:
+    return characters == tuple(sorted(characters, reverse=True))
+
+
 def test_stage1_center_census():
+    # Each center is an immutable, hashable record of canonical tuples.
     centers = stage1_centers()
-    assert len(centers) == 9
+    assert len(set(centers)) == 9
     assert all(len(c.normal_basis) == 6 for c in centers)
-    assert all(c.tangent_to_center.total() == 4 for c in centers)
+    assert all(len(c.tangent_to_center) == 4 for c in centers)
+    assert all(canonical(c.normal_basis) and canonical(c.tangent_to_center) for c in centers)
 
 
 def test_stage1_pencil_table():
@@ -146,7 +152,7 @@ def test_stage1_tables_match_ambient_tangent():
     centers = stage1_centers()
     for center in centers:
         ambient = ambient_tangent(center.base_ideal)
-        assert center.tangent_to_center + center.normal_basis == ambient, center.base_ideal
+        assert Counter(center.tangent_to_center + center.normal_basis) == ambient, center.base_ideal
     # The Grassmannian point (x0^2, x1^2) is one more input: 5 residual
     # quadrics times 2 dual generators.
     for I in [*(c.base_ideal for c in centers), ideal("x0^2", "x1^2")]:
@@ -156,7 +162,7 @@ def test_stage1_tables_match_ambient_tangent():
     center = next(
         c for c in centers if c.base_ideal == ideal("x1^2", "x1*x2")
     )
-    assert center.tangent_to_center == Counter(
+    assert Counter(center.tangent_to_center) == Counter(
         {mono("x3*x1^-1"): 2, mono("x3*x2^-1"): 1, mono("x2*x1^-1"): 1}
     )
     assert set(center.normal_basis) == {
@@ -180,8 +186,8 @@ STAGE2_ROWS = (
 
 
 def test_stage2_centers_match_typed_rows():
-    # A Counter is not hashable, so each tangent is compared as its
-    # character tuple in canonical order.
+    # Each tangent is compared as the character tuple in canonical order
+    # that the center stores.
     typed = set()
     for gens, lcm, tangent in STAGE2_ROWS:
         for images in permutations((1, 2, 3)):
@@ -191,19 +197,17 @@ def test_stage2_centers_match_typed_rows():
                 remap(mono(lcm), perm, 4),
                 tuple(sorted((remap(mono(t), perm, 4) for t in tangent), reverse=True)),
             ))
-    derived = [
-        (c.base_ideal, c.lcm_base, tuple(sorted(c.tangent_to_center.elements(), reverse=True)))
-        for c in stage2_centers()
-    ]
+    derived = [(c.base_ideal, c.lcm_base, c.tangent_to_center) for c in stage2_centers()]
     assert len(typed) == len(derived) == 12
     assert set(derived) == typed
 
 
 def test_stage2_center_census():
     centers = stage2_centers()
-    assert len(centers) == 12
+    assert len(set(centers)) == 12
     assert all(len(c.normal_basis) == 6 for c in centers)
-    assert all(c.tangent_to_center.total() == 4 for c in centers)
+    assert all(len(c.tangent_to_center) == 4 for c in centers)
+    assert all(canonical(c.normal_basis) and canonical(c.tangent_to_center) for c in centers)
 
 
 def test_stage2_tables_match_blowup_composition():
@@ -212,7 +216,7 @@ def test_stage2_tables_match_blowup_composition():
     # blow-up tangent decomposition over the parent first-stage center.
     stage1 = stage1_centers()
     for center in stage2_centers():
-        assert stage2_composed_tangent(center.base_ideal, stage1) == (
+        assert stage2_composed_tangent(center.base_ideal, stage1) == Counter(
             center.tangent_to_center + center.normal_basis
         )
 
@@ -235,7 +239,7 @@ def test_stage2_cusp_table_terms():
             mono("x0^2*x2*x1^-1*x3^-2"): 1,
         }
     )
-    assert center.tangent_to_center + center.normal_basis == expected
+    assert Counter(center.tangent_to_center + center.normal_basis) == expected
 
 
 def test_stage2_excluded_directions_stay_in_center_tangent():
@@ -312,14 +316,7 @@ def test_blowup_points_of_cusp_center():
 
 
 def test_blowup_empty_normal_basis_returns_nothing():
-    center = stage1_centers()[0]
-    degenerate = BlowupCenterDatum(
-        base_ideal=center.base_ideal,
-        tangent_to_center=center.tangent_to_center,
-        normal_basis=Counter(),
-        lcm_base=center.lcm_base,
-        stage=center.stage,
-    )
+    degenerate = stage1_centers()[0]._replace(normal_basis=())
     assert blowup_fixed_points(degenerate) == []
 
 
@@ -327,14 +324,8 @@ def test_blowup_rejects_inconsistent_center_data():
     center = next(
         c for c in stage1_centers() if c.base_ideal == ideal("x1*x2", "x1*x3")
     )
-    broken = BlowupCenterDatum(
-        base_ideal=center.base_ideal,
-        tangent_to_center=center.tangent_to_center,
-        # lcm * mu has a negative exponent
-        normal_basis=Counter([mono("x2^2*x1^-2")]),
-        lcm_base=center.lcm_base,
-        stage=center.stage,
-    )
+    # lcm * mu has a negative exponent
+    broken = center._replace(normal_basis=(mono("x2^2*x1^-2"),))
     with pytest.raises(ValueError):
         blowup_fixed_points(broken)
 
@@ -353,6 +344,27 @@ def test_normal_space_difference_rejects_a_negative_multiplicity():
         fixedpoints._difference(a, Counter([mono("x0^2"), mono("x1*x2^-1")]))
     with pytest.raises(ValueError, match=r"negative multiplicity at x2\^-1\*x3: -1"):
         fixedpoints._difference(a, Counter({mono("x3*x2^-1"): 2}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stage2_composed_tangent(ideal("x1^2", "x1*x2"), stage1_centers()),
+         "no unique parent center for (x1^2, x1*x2)"),
+        # The parent (x1^2, x1*x2) is unique, but two generators are new.
+        (lambda: stage2_composed_tangent(
+            ideal("x1^2", "x1*x2", "x1*x3^2", "x0^2*x1"), stage1_centers()),
+         "expected one extra generator in (x0^2*x1, x1^2, x1*x2, x1*x3^2)"),
+        (lambda: invariant_sections(0, 1), "need at least two characters, got n=0"),
+        (lambda: invariant_sections(3, -1), "negative degree: -1"),
+        (lambda: lemma_injectivity_check(MonomialIdeal([mono("x1", 5)])),
+         "expected four characters: (x1)"),
+    ],
+    ids=["no-parent", "two-extra", "one-character", "negative-degree", "five-characters"],
+)
+def test_guards_name_their_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +433,10 @@ def test_oracle_catches_mutated_center_table():
     center = next(
         c for c in stage1_centers() if c.base_ideal == ideal("x1*x2", "x1*x3")
     )
-    mutated = BlowupCenterDatum(
-        base_ideal=center.base_ideal,
-        tangent_to_center=center.tangent_to_center,
-        normal_basis=center.normal_basis
-        - Counter([mono("x0^2*x1^-1*x2^-1")])
-        + Counter([mono("x0^2*x2^-1*x3^-1")]),
-        lcm_base=center.lcm_base,
-        stage=center.stage,
-    )
+    normal = Counter(center.normal_basis)
+    normal[mono("x0^2*x1^-1*x2^-1")] -= 1
+    normal[mono("x0^2*x2^-1*x3^-1")] += 1
+    mutated = center._replace(normal_basis=fixedpoints._characters(normal))
     mismatches = center_oracle_agreement(mutated)
     assert mismatches
     direction, limit, closed_form = mismatches[0]
