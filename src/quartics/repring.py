@@ -86,14 +86,16 @@ class LaurentMonomial(tuple):
 
     # A product, quotient, lcm or gcd of two monomials has integer exponents
     # already, so it builds its tuple without the conversion in __new__.
-    # A query tests the lengths inline and calls the guard only to raise.
+    # Each operation tests the lengths inline and calls the guard only to raise.
 
     def __mul__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        self._require_same_ring(other)
+        if len(self) != len(other):
+            self._require_same_ring(other)
         return tuple.__new__(LaurentMonomial, map(operator.add, self, other))
 
     def __truediv__(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        self._require_same_ring(other)
+        if len(self) != len(other):
+            self._require_same_ring(other)
         return tuple.__new__(LaurentMonomial, map(operator.sub, self, other))
 
     def divides(self, other: "LaurentMonomial") -> bool:
@@ -103,11 +105,13 @@ class LaurentMonomial(tuple):
         return all(map(operator.le, self, other))
 
     def lcm(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        self._require_same_ring(other)
+        if len(self) != len(other):
+            self._require_same_ring(other)
         return tuple.__new__(LaurentMonomial, map(max, self, other))
 
     def gcd(self, other: "LaurentMonomial") -> "LaurentMonomial":
-        self._require_same_ring(other)
+        if len(self) != len(other):
+            self._require_same_ring(other)
         return tuple.__new__(LaurentMonomial, map(min, self, other))
 
     # -- rendering -------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -352,7 +353,8 @@ def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_poi
 
 
 #: Characters the synthetic points draw from, so that points share some.
-_POOL = [mono(t) for t in ("x1*x2^-1", "x2*x3^-1", "x0^2*x1^-1*x4^-1", "x3^-1*x4", "x0*x2^-1")]
+_POOL = [mono(t) for t in
+         ("x1*x2^-1", "x2*x1^-1", "x2*x3^-1", "x0^2*x1^-1*x4^-1", "x3^-1*x4", "x0*x2^-1")]
 _characters = st.lists(
     st.sampled_from(_POOL)
     | st.builds(LaurentMonomial, st.lists(st.integers(-2, 2), min_size=5, max_size=5)),
@@ -500,6 +502,61 @@ def test_each_hyperplane_shares_its_three_directions(h4_points):
         directions = {x / linear[i - 1] for x in linear if x != linear[i - 1]}
         assert set(group.shared(characters)) == directions
         assert {len(gather(characters)) for gather in group.tangents} == {10}
+
+
+def _denominator_oracle(points, group, characters) -> Counter:
+    """The keys of a group's rest tangent characters, a character and its
+    negation merged into the lower of their positions, each key repeated by
+    the largest multiplicity one point gives it."""
+    position = {m: i for i, m in enumerate(characters)}
+
+    def key(m):
+        return min(position[m], position.get(LaurentMonomial(map(operator.neg, m)), position[m]))
+
+    shared = Counter(group.shared(characters))
+    most = Counter()
+    for k in group.indices:
+        rest = Counter(points[k].tangent) - shared
+        most |= Counter(map(key, rest.elements()))
+    return most
+
+
+@pytest.mark.parametrize("which", ["h3", "h4"])
+def test_denominator_holds_each_merged_key_at_its_largest_multiplicity(which, h3_points, h4_points):
+    points = {"h3": h3_points, "h4": h4_points}[which]
+    compiled = bott._compile(points)
+    characters = _characters_of(compiled)
+    assert len(compiled.groups) == {"h3": 1, "h4": 4}[which]
+    for group in compiled.groups:
+        expected = _denominator_oracle(points, group, characters)
+        assert Counter(group.denominator(range(len(characters)))) == expected
+        if which == "h4":
+            # 72 factors: 45 keys once, 9 twice and 3 three times.
+            assert expected.total() == 72
+            assert sorted(Counter(expected.values()).items()) == [(1, 45), (2, 9), (3, 3)]
+
+
+def test_a_character_and_its_negation_share_one_key():
+    # In one hyperplane, one point holds chi twice and -chi once and another
+    # -chi twice, so the key of chi appears 3 times; a third point holds
+    # neither, so the group shares no direction.
+    chi, negated, other = mono("x1*x2^-1"), mono("x2*x1^-1"), mono("x0^2*x3^-1*x4^-1")
+    ideals = [MonomialIdeal([mono("x0^2"), mono(f"x{k}^2")]) for k in (1, 2, 3)]
+    tangents = [(chi, chi, negated), (negated, negated), (other,)]
+    fibers = [characters(("x3*x4^-1", 3)), characters(("x0^2*x1^-2", 2)), (chi,)]
+    points = [_synthetic_point(tangent, fiber)._replace(ideal=ideal, hyperplane=1)
+              for tangent, fiber, ideal in zip(tangents, fibers, ideals)]
+    (group,) = bott._compile(points).groups
+    assert Counter(group.denominator(range(3))) == {0: 3, 2: 1}
+    for w in (DEFAULT_WEIGHTS, (7, 3, -2, 5, 11), (-5, 8, 1, 9, 2)):
+        assert validate_weights(points, w)
+        result = bott_sum(points, w, keep_terms=True)
+        assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
+    w = (1, 2, 2, 3, 5)
+    assert (weight_of(chi, w), weight_of(other, w)) == (0, -6)
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        bott_sum(points, w)
+    assert str(excinfo.value) == zero_weight_error(points, w) is not None
 
 
 def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
