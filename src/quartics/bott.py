@@ -20,7 +20,8 @@ characters as tuples, each character repeated by its multiplicity.
 A point sequence is compiled once.  Its distinct characters (395 on the
 504 points) are stored column by column, coordinate j of every character
 in one tuple, the tangent characters (280) first, so a weight vector
-specializes them all with one `map` per coordinate.  The points are
+specializes them all with one `map` per coordinate.  They form 140 pairs
+{x, -x}, and a usability test specializes one of each pair.  The points are
 grouped by hyperplane, and each point's characters become
 `operator.itemgetter` gathers of positions into the specialized list.  A
 group's shared positions are the distinct ones that every one of its
@@ -138,17 +139,19 @@ class _Compiled(NamedTuple):
     """A point sequence with its distinct characters stored column by column:
     `columns[j]` holds coordinate j of each character, by position, and
     `tangent_columns` the same for the tangent characters, which take the
-    first positions.  `groups` holds the hyperplanes in first-seen order;
-    the points without one make one group.  Usability depends on
-    `tangent_columns` alone."""
+    first positions; `key_columns` holds one of each pair {x, -x} of them,
+    the two of which vanish together, so usability depends on it alone.
+    `groups` holds the hyperplanes in first-seen order; the points without
+    one make one group."""
 
     points: tuple[FixedPoint, ...]
     columns: tuple[tuple[int, ...], ...]
     tangent_columns: tuple[tuple[int, ...], ...]
+    key_columns: tuple[tuple[int, ...], ...]
     groups: tuple[_Group, ...]
 
 
-_held = _Compiled((), (), (), ())
+_held = _Compiled((), (), (), (), ())
 
 
 def _denominator(rests: Sequence[Sequence[int]], key_of: Sequence[int]) -> _Gather:
@@ -190,6 +193,8 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     # A tangent character and its negation share a key, the lower of their positions.
     negations = zip(*(map(operator.neg, column) for column in tangent_columns))
     key_of = list(map(min, range(tangent_count), map(positions.get, negations, count())))
+    is_key = list(map(operator.eq, key_of, count()))
+    key_columns = tuple(tuple(compress(column, is_key)) for column in tangent_columns)
     members: defaultdict[int | None, list[int]] = defaultdict(list)
     for index, point in enumerate(points):
         members[point.hyperplane].append(index)
@@ -205,7 +210,7 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
             rests.append(rest)
         groups.append(_Group(tuple(indices), _gather(shared), tuple(map(_gather, rests)),
                              _denominator(rests, key_of), tuple(map(fibers.__getitem__, indices))))
-    _held = _Compiled(points, columns, tangent_columns, tuple(groups))
+    _held = _Compiled(points, columns, tangent_columns, key_columns, tuple(groups))
     return _held
 
 
@@ -220,7 +225,7 @@ def _specialize(columns: Sequence[Sequence[int]], w: WeightVector) -> list[int]:
 
 def _usable(compiled: _Compiled, w: WeightVector) -> bool:
     """True iff `w` gives every distinct tangent character a nonzero weight."""
-    return all(_specialize(compiled.tangent_columns, w))
+    return all(_specialize(compiled.key_columns, w))
 
 
 def zero_weight_error(points: Sequence[FixedPoint], w: WeightVector) -> str | None:

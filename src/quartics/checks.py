@@ -62,15 +62,12 @@ def _fiber_ranks(b: Build) -> tuple[bool, str]:
 
 def _tangent_characters(b: Build) -> tuple[bool, str]:
     # The build rejects a negative multiplicity, so only a trivial
-    # character can be wrong here.
-    bad_character = next(
-        (f"tangent character {m} with multiplicity {p.tangent.count(m)} at {p.label}"
-         for p in b.h3 + b.h4
-         for m in p.tangent
-         if m.is_trivial()),
-        "",
-    )
-    return not bad_character, bad_character or "no trivial character, all multiplicities >= 1"
+    # character, the zero exponent tuple of the point's ring, can be wrong here.
+    bad = next((p for p in b.h3 + b.h4 if (0,) * len(p.ideal[0]) in p.tangent), None)
+    if bad is None:
+        return True, "no trivial character, all multiplicities >= 1"
+    m = next(m for m in bad.tangent if m.is_trivial())
+    return False, f"tangent character {m} with multiplicity {bad.tangent.count(m)} at {bad.label}"
 
 
 def _center_tables(centers, ambient, source: str) -> tuple[bool, str]:

@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product, starmap
 from typing import Iterable, NamedTuple, Sequence
 
-from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections
+from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections, twist_mask
 
 STAGE_GRASSMANNIAN = "grassmannian"
 STAGE_BLOWUP1 = "blowup1"
@@ -453,41 +453,35 @@ def assemble_h4(h3: Sequence[FixedPoint]) -> list[FixedPoint]:
     return points
 
 
-@lru_cache(maxsize=None)
-def _fiber_sections(n: int) -> frozenset[LaurentMonomial]:
-    return frozenset(invariant_sections(n, DEGREE))
-
-
 def fiber_rep(I: MonomialIdeal) -> tuple[LaurentMonomial, ...]:
     """Sections of the twisted structure sheaf: V[DEGREE] minus the ideal slice.
 
     The invariant degree-6 monomials not lying in the ideal, the sections
-    that the twist does not hold, in canonical order.  Both sets hold the
-    same section objects, so the difference rehashes and compares nothing.
+    whose bits the slice's mask leaves clear, in canonical order.
     """
-    return tuple(sorted(_fiber_sections(I.nvars - 1) - ideal_twist(I, DEGREE), reverse=True))
+    return tuple(ideal_twist(I, DEGREE).complement())
 
 
 def lemma_injectivity_check(I: MonomialIdeal) -> bool:
     """Check the cubic-multiplier condition used to embed curves.
 
     True iff there is no invariant degree-3 monomial m outside I with all
-    of x1 m, x2 m, x3 m inside I.  Holds for every fixed-point ideal of
-    the P(2,1,1,1) component.
+    of x1 m, x2 m, x3 m inside I, tested on I's masks of degrees 3 and 4.
+    Holds for every fixed-point ideal of the P(2,1,1,1) component.
     """
     if I.nvars != 4:
         raise ValueError(f"expected four characters: {I}")
-    return not any(
-        not I.contains(m) and all(map(I.contains, multiples)) for m, multiples in _cubic_multiples()
-    )
+    cubics, quartics = twist_mask(I, 3), twist_mask(I, 4)
+    return not any(not cubics & bit and multiples & quartics == multiples
+                   for bit, multiples in _cubic_multiples())
 
 
 @lru_cache(maxsize=None)
-def _cubic_multiples() -> tuple[tuple[LaurentMonomial, tuple[LaurentMonomial, ...]], ...]:
-    """Each invariant cubic with its multiples by x1, x2, x3."""
-    return tuple(
-        (m, tuple(x * m for x in invariant_sections(3, 1))) for m in invariant_sections(3, 3)
-    )
+def _cubic_multiples() -> tuple[tuple[int, int], ...]:
+    """Each invariant cubic m's bit in V[3] with the mask in V[4] of its
+    multiples by x1, x2, x3, the quartic sections that m divides."""
+    ideals = [MonomialIdeal([m]) for m in invariant_sections(3, 3)]
+    return tuple((twist_mask(I, 3), twist_mask(I, 4)) for I in ideals)
 
 
 def census(points: Iterable[FixedPoint]) -> dict[str, int]:

@@ -20,20 +20,21 @@ the space V[m] they span as its tuple of monomials in canonical order.
 
 Torus-fixed curves have monomial graded ideals; a monomial ideal
 (`MonomialIdeal`) is the tuple of its reduced generators.  The degree-k
-slice of such an ideal, the set of sections of V[k] lying in it, is
-`ideal_twist`: the union of the sections each generator divides, which
-are the generator times the sections of the complementary degree.  Those
-sets hold the very objects of `invariant_sections`, so set operations on
-slices and sections match keys by identity and stored hash, comparing no
-tuples.  All values are immutable and all operations are pure.
+slice of such an ideal, the sections of V[k] lying in it, is an `int`
+mask whose bit j stands for the j-th section in canonical order: the OR
+over the generators of the cached mask of the sections each divides
+(`twist_mask`).  `ideal_twist` wraps it in a read-only `Slice`, a set
+whose `in` reads one bit and whose iteration yields the objects of
+`invariant_sections`.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Set
 from functools import lru_cache, reduce
-from itertools import filterfalse
+from itertools import compress, filterfalse
+from types import MappingProxyType
 
 
 class LaurentMonomial(tuple):
@@ -236,38 +237,71 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _interned(n: int, k: int) -> dict[LaurentMonomial, LaurentMonomial]:
-    return {m: m for m in invariant_sections(n, k)}
+def _section_bits(n: int, k: int) -> MappingProxyType[LaurentMonomial, int]:
+    """Each section of V[k], in canonical order, with its bit 1 << j, read-only."""
+    return MappingProxyType({m: 1 << j for j, m in enumerate(invariant_sections(n, k))})
 
 
 @lru_cache(maxsize=None)
-def _multiples(g: LaurentMonomial, k: int) -> frozenset[LaurentMonomial]:
-    """The degree-k invariant sections divisible by the invariant monomial g.
-
-    A section is divisible by g iff its quotient by g is an invariant
-    section of degree k - deg g, so these are g times the sections of
-    that degree; there are none when deg g > k.  Each product is swapped
-    for the equal object of `invariant_sections(n, k)` (see the module).
-    """
+def _multiples(g: LaurentMonomial, k: int) -> int:
+    """The mask of the degree-k invariant sections divisible by the invariant
+    monomial g: g times the sections of degree k - deg g, none when deg g > k.
+    Distinct cofactors give distinct products, so their bits add as an OR."""
     n, d = len(g) - 1, g.degree
     if d > k:
-        return frozenset()
-    canonical, cofactors = _interned(n, k), invariant_sections(n, k - d)
-    return frozenset(canonical[tuple(map(operator.add, g, q))] for q in cofactors)
+        return 0
+    bits, cofactors = _section_bits(n, k), invariant_sections(n, k - d)
+    return sum(bits[tuple(map(operator.add, g, q))] for q in cofactors)
 
 
-def ideal_twist(I: MonomialIdeal, k: int) -> frozenset[LaurentMonomial]:
+def twist_mask(I: MonomialIdeal, k: int) -> int:
+    """The mask over `invariant_sections(n, k)` of the degree-k slice of I."""
+    if k < 0:
+        raise ValueError(f"negative degree: {k}")
+    return reduce(operator.or_, [_multiples(g, k) for g in I])
+
+
+class Slice(Set):
+    """A read-only set of sections of V[k]: the map from each section, in
+    canonical order, to its bit, and the mask of the sections held.  A
+    monomial of another degree or ring, or not invariant, is not held."""
+
+    __slots__ = ("bits", "mask")
+    _DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+    def __init__(self, bits: MappingProxyType[LaurentMonomial, int], mask: int) -> None:
+        self.bits, self.mask = bits, mask
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __contains__(self, m: object) -> bool:
+        return bool(self.mask & self.bits.get(m, 0))
+
+    def __iter__(self) -> Iterator[LaurentMonomial]:
+        # The binary digits of the mask, lowest first, select the sections.
+        digits = format(self.mask, f"0{len(self.bits)}b")[::-1].encode().translate(self._DIGITS)
+        return compress(self.bits, digits)
+
+    def complement(self) -> Slice:
+        """The sections of the same space outside the slice."""
+        return Slice(self.bits, self.mask ^ ((1 << len(self.bits)) - 1))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[LaurentMonomial]) -> frozenset[LaurentMonomial]:
+        return frozenset(it)
+
+
+def ideal_twist(I: MonomialIdeal, k: int) -> Slice:
     """The degree-k slice of the ideal inside the invariant ring.
 
-    Returns the set of invariant degree-k monomials lying in I, the union
-    of the cached sets of multiples of its generators; the tests keep the
-    scan of every section with `MonomialIdeal.contains` as its oracle.
-    The largest set goes first, so it is copied whole, not inserted again.
+    Returns the invariant degree-k monomials lying in I as a `Slice` over
+    `invariant_sections(n, k)` with the mask of `twist_mask`; the tests
+    keep the scan of every section with `MonomialIdeal.contains` as its
+    oracle.
 
     >>> I = MonomialIdeal([LaurentMonomial((2, 0, 0, 0))])
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    if k < 0:
-        raise ValueError(f"negative degree: {k}")
-    return frozenset().union(*sorted((_multiples(g, k) for g in I), key=len, reverse=True))
+    return Slice(_section_bits(I.nvars - 1, k), twist_mask(I, k))

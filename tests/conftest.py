@@ -38,6 +38,14 @@ def parse_monomial(text: str, nvars: int) -> LaurentMonomial:
     return LaurentMonomial(exps)
 
 
+#: Ideals written by hand, beside the fixed-point ideals, for the slice
+#: and lemma oracles: a common factor, a pure power pair, mixed degrees.
+HAND_IDEALS = [
+    MonomialIdeal(parse_monomial(t, 4) for t in texts)
+    for texts in (("x1*x2", "x1*x3"), ("x0^2", "x1^2"), ("x1^2", "x1*x2", "x0^2*x2"))
+]
+
+
 def remap(m: LaurentMonomial, perm: Sequence[int], nvars: int) -> LaurentMonomial:
     """Carry a monomial into a ring of `nvars` characters, where character i
     becomes character perm[i]: the relabelings the symmetry tests apply."""

@@ -486,6 +486,11 @@ def test_bott_sum_specializes_each_distinct_character_once(h4_points):
     assert Counter(characters) == Counter(occurrences.keys())
     tangent = {m for p in h4_points for m in p.tangent}
     assert set(characters[:len(compiled.tangent_columns[0])]) == tangent
+    # The key columns hold one character of each of the 140 pairs {x, -x}.
+    keys = [LaurentMonomial(c) for c in zip(*compiled.key_columns)]
+    negated = {LaurentMonomial(map(operator.neg, m)) for m in keys}
+    assert len(keys) == len(negated) == 140 and negated.isdisjoint(keys)
+    assert negated | set(keys) == tangent
     for w in (DEFAULT_WEIGHTS, (1, 1, 1, 1, 1), (-3, 0, 7, 2, -9)):
         assert bott._specialize(compiled.columns, w) == [weight_of(m, w) for m in characters]
     assert bott_sum(h4_points, DEFAULT_WEIGHTS).value == Fraction(6028452)
@@ -554,6 +559,7 @@ def test_a_character_and_its_negation_share_one_key():
         assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
     w = (1, 2, 2, 3, 5)
     assert (weight_of(chi, w), weight_of(other, w)) == (0, -6)
+    assert not validate_weights(points, w)
     with pytest.raises(ZeroDivisionError) as excinfo:
         bott_sum(points, w)
     assert str(excinfo.value) == zero_weight_error(points, w) is not None
@@ -567,6 +573,7 @@ def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     bott_sum(list(points), DEFAULT_WEIGHTS)
     assert bott._held is held
     assert (len(held.columns[0]), len(held.tangent_columns[0])) == (395, 280)
+    assert len(held.key_columns[0]) == 140
 
     # A point replaced in place, the length kept: zero at `w` only on the new character.
     w, _ = random_weight_search(0, 1, 10_000, points)

@@ -6,8 +6,10 @@ from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixed_point_from_record, parse_monomial, record_dict, remap
+from conftest import HAND_IDEALS, fixed_point_from_record, parse_monomial, record_dict, remap
 from quartics import fixedpoints
 from quartics.fixedpoints import (
     STAGE_BLOWUP1,
@@ -640,12 +642,43 @@ def test_fiber_rep_is_sections_minus_twist(h3_points, h4_points):
 
 
 def test_twist_and_fiber_hold_the_section_objects(h3_points, h4_points):
-    # The set difference that builds a fiber matches sections by identity
-    # only while the slices hold the very objects of the section space.
+    # A slice and a fiber are read off the bits of a mask over the section
+    # space, so they yield the very objects of `invariant_sections`.
     for p in [*h3_points, *h4_points]:
         canonical = {m: m for m in invariant_sections(p.ideal.nvars - 1, 6)}
         for m in [*ideal_twist(p.ideal, 6), *fiber_rep(p.ideal)]:
             assert m is canonical[m], (p.ideal, m)
+
+
+def _scan_lemma(I: MonomialIdeal) -> bool:
+    """Oracle for `lemma_injectivity_check`: every invariant cubic scanned
+    with `MonomialIdeal.contains`, its multiples by x1, x2, x3 too."""
+    linear = invariant_sections(3, 1)
+    return not any(
+        not I.contains(m) and all(I.contains(x * m) for x in linear)
+        for m in invariant_sections(3, 3)
+    )
+
+
+def test_lemma_matches_the_contains_scan(h3_points):
+    # The lemma fails at the all-quartics ideal and at each cubic's ideal
+    # of x1 m, x2 m, x3 m, where m alone is outside.
+    linear = invariant_sections(3, 1)
+    failing = [MonomialIdeal(invariant_sections(3, 4)),
+               *(MonomialIdeal(x * m for x in linear) for m in invariant_sections(3, 3))]
+    holding = [*(p.ideal for p in h3_points), *HAND_IDEALS]
+    assert [lemma_injectivity_check(I) for I in holding] == [_scan_lemma(I) for I in holding]
+    assert all(map(_scan_lemma, holding)) and len(failing) == 14
+    assert [lemma_injectivity_check(I) for I in failing] == list(map(_scan_lemma, failing))
+    assert not any(map(_scan_lemma, failing))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from([m for k in (2, 3, 4) for m in invariant_sections(3, k)]),
+                min_size=1, max_size=5))
+def test_lemma_matches_the_contains_scan_on_random_ideals(generators):
+    I = MonomialIdeal(generators)
+    assert lemma_injectivity_check(I) == _scan_lemma(I), I
 
 
 def test_lemma_injectivity_examples():

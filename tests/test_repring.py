@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_monomial, remap
+from conftest import HAND_IDEALS, parse_monomial, remap
 from quartics import repring
 from quartics.fixedpoints import _characters, _difference
 from quartics.repring import (
@@ -262,13 +262,6 @@ def test_ideal_twist_single_generator():
     assert [str(m) for m in ideal_twist(ideal("x0^2"), 2)] == ["x0^2"]
 
 
-HAND_IDEALS = [
-    ideal("x1*x2", "x1*x3"),
-    ideal("x0^2", "x1^2"),
-    ideal("x1^2", "x1*x2", "x0^2*x2"),
-]
-
-
 def test_ideal_twist_monotone():
     multipliers = invariant_sections(3, 1)
     for ideal in HAND_IDEALS:
@@ -303,10 +296,51 @@ def test_ideal_twist_matches_scan(h3_points, h4_points):
     # x1, x2, x3 landing on three of x1..x4 in some order.
     perms = ((0, 2, 3, 4), (0, 3, 4, 1), (0, 4, 1, 2), (0, 1, 2, 3))
     repring._multiples.cache_clear()
+    repring._section_bits.cache_clear()
     for k in range(8):
         for ideal in HAND_IDEALS:
             for I in [ideal, *(MonomialIdeal(remap(g, perm, 5) for g in ideal) for perm in perms)]:
                 assert ideal_twist(I, k) == _scan_twist(I, k), (I, k)
+
+
+def test_slice_is_a_set_of_the_section_objects(h3_points, h4_points):
+    # Against the scanned frozenset: the order of iteration, len, ==, <= and
+    # >= both ways, and the mixin operators, which return frozensets.
+    for I, k in [*((p.ideal, 6) for p in [*h3_points[::9], *h4_points[::37]]),
+                 *((I, k) for I in HAND_IDEALS for k in range(5))]:
+        twist, scan = ideal_twist(I, k), _scan_twist(I, k)
+        sections = invariant_sections(I.nvars - 1, k)
+        assert list(twist) == [m for m in sections if m in scan], (I, k)
+        assert all(a is b for a, b in zip(twist, (m for m in sections if m in scan)))
+        assert len(twist) == len(scan) == twist.mask.bit_count()
+        assert twist == scan and scan == twist and not twist != scan
+        assert twist <= scan <= twist and twist >= scan >= twist
+        assert set(twist) - {sections[0]} <= twist
+        assert twist - scan == frozenset() and twist | scan == scan
+        assert tuple(twist.complement()) == tuple(m for m in sections if m not in scan)
+        assert twist.complement() == frozenset(sections) - scan
+    # A degree below every generator gives the empty slice.
+    empty = ideal_twist(ideal("x1^2", "x1*x2", "x0^2*x2"), 1)
+    assert (len(empty), list(empty), empty == frozenset()) == (0, [], True)
+    assert tuple(empty.complement()) == invariant_sections(3, 1)
+
+
+def test_slice_holds_no_monomial_outside_its_space():
+    I = ideal("x1*x2", "x1*x3")
+    twist = ideal_twist(I, 3)
+    assert mono("x1^2*x2") in twist and (0, 2, 1, 0) in twist
+    outside = [
+        mono("x2^3"),                         # a section of V[3] outside I
+        mono("x0*x1*x2"),                     # in I, but not Gamma-invariant
+        mono("x1*x2"),                        # in I, of degree 2
+        mono("x1^2*x2*x3"),                   # in I, of degree 4
+        remap(mono("x1^2*x2"), (0, 1, 2, 3), 5),  # in the slice's image, in five characters
+        mono("x1^3*x2^-1"),                   # degree 3, not regular
+    ]
+    for m in outside:
+        assert m not in twist, m
+    assert None not in twist and "x1^2*x2" not in twist
+    assert twist == _scan_twist(I, 3) != frozenset(outside)
 
 
 # ---------------------------------------------------------------------------
