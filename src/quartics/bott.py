@@ -40,13 +40,13 @@ compiled sequence.  It holds the keys of the rest tangent characters, a
 character and its negation under one key, each key repeated as many times
 as the point that holds it most often holds it.  Since |w(-x)| = |w(x)|,
 D_g is a multiple of every r_p up to sign.  The group sums are then added
-the same way over the lcm of the D_g * s_g, with a single gcd at the end.
-On the 504 points each D_g has 72 factors, 12 of them repeated.  For
-weights up to 10^4 it has a median of about 900 bits, against about 560
-for the lcm of the group's r_p, and s_g about 35; one product of 72
-factors costs less than the lcm of 126 products that it replaces.  Without
-merging a character with its negation, D_g would have about 1580 bits, and
-the quotients D_g / r_p would cost more than the lcm saves.
+as fractions.  On the 504 points each D_g has 72 factors, 12 of them
+repeated.  For weights up to 10^4 it has a median of about 900 bits,
+against about 560 for the lcm of the group's r_p, and s_g about 35; one
+product of 72 factors costs less than the lcm of 126 products that it
+replaces.  Without merging a character with its negation, D_g would have
+about 1580 bits, and the quotients D_g / r_p would cost more than the lcm
+saves.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
@@ -124,9 +124,9 @@ class _Group(NamedTuple):
     from the list of character weights: `shared` gathers the tangent
     positions that every point of the group holds, and `tangents[k]` the
     other tangent positions of point `indices[k]`, `fibers[k]` its fiber.
-    `denominator` gathers the keys of those other positions (see
-    `_denominator`), whose product is a multiple of every `tangents[k]`
-    product up to sign."""
+    `denominator` gathers the keys of those other positions, each as many
+    times as the point that holds it most often holds it; its product is a
+    multiple of every `tangents[k]` product up to sign."""
 
     indices: tuple[int, ...]
     shared: _Gather
@@ -137,45 +137,27 @@ class _Group(NamedTuple):
 
 class _Compiled(NamedTuple):
     """A point sequence with its distinct characters stored column by column:
-    `columns[j]` holds coordinate j of each character, by position, and
-    `tangent_columns` the same for the tangent characters, which take the
-    first positions; `key_columns` holds one of each pair {x, -x} of them,
-    the two of which vanish together, so usability depends on it alone.
+    `columns[j]` holds coordinate j of each character, by position, the
+    tangent characters first; `key_columns` holds the same for one of each
+    pair {x, -x} of them, the two of which vanish together, so usability
+    depends on it alone.
     `groups` holds the hyperplanes in first-seen order; the points without
     one make one group."""
 
     points: tuple[FixedPoint, ...]
     columns: tuple[tuple[int, ...], ...]
-    tangent_columns: tuple[tuple[int, ...], ...]
     key_columns: tuple[tuple[int, ...], ...]
     groups: tuple[_Group, ...]
 
 
-_held = _Compiled((), (), (), (), ())
-
-
-def _denominator(rests: Sequence[Sequence[int]], key_of: Sequence[int]) -> _Gather:
-    """The gather of each key of the tangent positions in `rests`, repeated
-    as many times as the rest that holds it most often holds it; `key_of[i]`
-    is the key of tangent position i.  Each (rest, key) pair is coded as one
-    integer, rest index * stride + key, the stride above every key.  Sorted,
-    the copies of a pair are adjacent, so keeping each item equal to the one
-    before it drops one copy of every pair; the keys left after each such
-    pass add one factor each."""
-    stride = len(key_of) + 1
-    keys = list(map(key_of.__getitem__, chain.from_iterable(rests)))
-    offsets = chain.from_iterable(map(repeat, range(0, stride * len(rests), stride), map(len, rests)))
-    level = sorted(map(operator.add, offsets, keys))
-    factors = list(set(keys))
-    while level := list(compress(level[1:], map(operator.eq, level, level[1:]))):
-        factors += set(map(operator.mod, level, repeat(stride)))
-    return _gather(factors)
+_held = _Compiled((), (), (), ())
 
 
 def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     """The compiled form of the points, reused while the same point objects
     come in the same order; the held tuple keeps that identity test sound.
-    Raises ValueError when the characters differ in length."""
+    Each group's `denominator` is counted in the loop that builds its
+    rests.  Raises ValueError when the characters differ in length."""
     global _held
     points = tuple(points)
     held = _held
@@ -189,12 +171,12 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     if len(lengths := set(map(len, positions))) > 1:
         raise ValueError(f"characters of {sorted(lengths)} coordinates are mixed")
     columns = tuple(zip(*positions))
-    tangent_columns = tuple(column[:tangent_count] for column in columns)
-    # A tangent character and its negation share a key, the lower of their positions.
-    negations = zip(*(map(operator.neg, column) for column in tangent_columns))
+    # A tangent character and its negation share a key, the lower of their
+    # positions; `key_of` and `is_key` stop at the last tangent character.
+    negations = zip(*(map(operator.neg, column) for column in columns))
     key_of = list(map(min, range(tangent_count), map(positions.get, negations, count())))
     is_key = list(map(operator.eq, key_of, count()))
-    key_columns = tuple(tuple(compress(column, is_key)) for column in tangent_columns)
+    key_columns = tuple(tuple(compress(column, is_key)) for column in columns)
     members: defaultdict[int | None, list[int]] = defaultdict(list)
     for index, point in enumerate(points):
         members[point.hyperplane].append(index)
@@ -202,15 +184,18 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     for indices in members.values():
         group = list(map(tangents.__getitem__, indices))
         shared = set(group[0]).intersection(*group[1:])
-        rests = []
+        rests, most = [], Counter()
         for tangent in group:
             rest = list(tangent)
             for c in shared:
                 rest.remove(c)
             rests.append(rest)
+            for key, n in Counter(map(key_of.__getitem__, rest)).items():
+                if n > most.get(key, 0):
+                    most[key] = n
         groups.append(_Group(tuple(indices), _gather(shared), tuple(map(_gather, rests)),
-                             _denominator(rests, key_of), tuple(map(fibers.__getitem__, indices))))
-    _held = _Compiled(points, columns, tangent_columns, key_columns, tuple(groups))
+                             _gather(most.elements()), tuple(map(fibers.__getitem__, indices))))
+    _held = _Compiled(points, columns, key_columns, tuple(groups))
     return _held
 
 
@@ -297,16 +282,16 @@ def bott_sum(
     one hyperplane, or all those without one, are added over their shared
     tangent product times the product of their group's `denominator`, a
     multiple of every point's other tangent product, and the group sums
-    over the lcm of those denominators.  Each distinct character
-    of the compiled points (reused for the same point objects in the same
-    order) is specialized once, and products are taken over gathered
-    positions.  `w` must pass `validate_weights` first; a zero tangent
-    product raises with the message of `zero_weight_error`.  Exact
-    arithmetic makes the result independent of summation order.
+    are added as fractions.  Each distinct character of the compiled
+    points (reused for the same point objects in the same order) is
+    specialized once, and products are taken over gathered positions.
+    `w` must pass `validate_weights` first; a zero tangent product raises
+    with the message of `zero_weight_error`.  Exact arithmetic makes the
+    result independent of summation order.
     """
     compiled = _compile(points)
     weights = _specialize(compiled.columns, w)
-    sums, denominators = [], []
+    value = Fraction(0)
     terms: list[Fraction] = [Fraction(0)] * len(compiled.points) if keep_terms else []
     for group in compiled.groups:
         shared = math.prod(group.shared(weights))
@@ -314,13 +299,10 @@ def bott_sum(
         if not shared or 0 in rests:
             raise ZeroDivisionError(zero_weight_error(compiled.points, w))
         numerators = [math.prod(gather(weights)) for gather in group.fibers]
-        common = abs(math.prod(group.denominator(weights)))
-        sums.append(sum(n * (common // r) for n, r in zip(numerators, rests)))
-        denominators.append(common * shared)
+        common = math.prod(group.denominator(weights))
+        value += Fraction(sum(n * (common // r) for n, r in zip(numerators, rests)), common * shared)
         if keep_terms:
             for i, r, n in zip(group.indices, rests, numerators):
                 terms[i] = Fraction(n, shared * r)
-    common = math.lcm(*denominators)
-    value = Fraction(sum(s * (common // d) for s, d in zip(sums, denominators)), common)
     labels = (p.label for p in compiled.points)
     return LocalizationResult(value, tuple(zip(labels, terms)) if keep_terms else None)

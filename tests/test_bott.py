@@ -334,8 +334,9 @@ def _in_five_characters(point: FixedPoint) -> FixedPoint:
 
 @pytest.mark.parametrize("arrangement", ["h3", "h3+h4", "h4-reversed", "empty"])
 def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_points):
-    # The sum adds each hyperplane's points over their own lcm; the points
-    # without a hyperplane form one group, and groups come in first-seen order.
+    # The sum adds each hyperplane's points over their own denominator; the
+    # points without a hyperplane form one group, and groups come in
+    # first-seen order.  The value is a Fraction even with no group to add.
     points, groups = {
         "h3": (h3_points, [126]),
         "h3+h4": ([*map(_in_five_characters, h3_points), *h4_points], [126] * 5),
@@ -349,6 +350,7 @@ def test_grouped_sum_matches_the_per_point_oracle(arrangement, h3_points, h4_poi
         # The h3 characters are the hyperplane-4 ones without x4.
         w = w[:4] if arrangement == "h3" else w
         result = bott_sum(points, w, keep_terms=True)
+        assert type(result.value) is Fraction
         assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
 
 
@@ -371,12 +373,19 @@ _characters = st.lists(
 )
 def test_shared_factor_sum_matches_the_per_point_oracle(drawn, doubled, twice, w):
     # Every tangent of the group `doubled` gains two copies of `twice`, so the
-    # group shares it whatever else it draws.  A weight vector that vanishes
-    # on a tangent character raises the error of `zero_weight_error`.
+    # group shares it whatever else it draws.  Every group's denominator holds
+    # no surplus factor, which the sum alone would not show.  A weight vector
+    # that vanishes on a tangent character raises the error of
+    # `zero_weight_error`.
     points = []
     for tangent, fiber, hyperplane in drawn:
         tangent = (*tangent, twice, twice) if hyperplane == doubled else tuple(tangent)
         points.append(_synthetic_point(tangent, tuple(fiber))._replace(hyperplane=hyperplane))
+    compiled = bott._compile(points)
+    characters = _characters_of(compiled)
+    for group in compiled.groups:
+        denominator = Counter(group.denominator(range(len(characters))))
+        assert denominator == _denominator_oracle(points, group, characters)
     try:
         expected = _oracle_bott_sum(points, w)
     except ZeroDivisionError:
@@ -484,8 +493,9 @@ def test_bott_sum_specializes_each_distinct_character_once(h4_points):
     occurrences = Counter(m for p in h4_points for m in p.tangent + p.fiber)
     assert (len(occurrences), occurrences.total()) == (395, 13104)
     assert Counter(characters) == Counter(occurrences.keys())
+    # The 280 distinct tangent characters take the first positions.
     tangent = {m for p in h4_points for m in p.tangent}
-    assert set(characters[:len(compiled.tangent_columns[0])]) == tangent
+    assert len(tangent) == 280 and set(characters[:280]) == tangent
     # The key columns hold one character of each of the 140 pairs {x, -x}.
     keys = [LaurentMonomial(c) for c in zip(*compiled.key_columns)]
     negated = {LaurentMonomial(map(operator.neg, m)) for m in keys}
@@ -572,7 +582,7 @@ def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     assert validate_weights(points, DEFAULT_WEIGHTS)
     bott_sum(list(points), DEFAULT_WEIGHTS)
     assert bott._held is held
-    assert (len(held.columns[0]), len(held.tangent_columns[0])) == (395, 280)
+    assert len(held.columns[0]) == 395
     assert len(held.key_columns[0]) == 140
 
     # A point replaced in place, the length kept: zero at `w` only on the new character.
