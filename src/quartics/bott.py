@@ -18,10 +18,13 @@ overflow 64-bit integers.  Each point holds its fiber and tangent
 characters as tuples, each character repeated by its multiplicity.
 
 A point sequence is compiled once.  Its distinct characters (395 on the
-504 points) are stored column by column, coordinate j of every character
-in one tuple, the tangent characters (280) first, so a weight vector
-specializes them all with one `map` per coordinate.  They form 140 pairs
-{x, -x}, and a usability test specializes one of each pair.  The points are
+504 points) take positions, the tangent characters (280) first.  These
+form 140 pairs {x, -x}, and w(-x) = -w(x), so a weight vector takes 255
+dot products: one key of each pair and the 115 fiber characters that are
+no tangent character, each set stored column by column and specialized
+with one `map` per coordinate.  One `map(operator.neg, ...)` and a gather
+put all 395 weights in place.  A usability test reads the keys alone, and
+a sum that follows it with an equal vector reuses them.  The points are
 grouped by hyperplane, and each point's characters become
 `operator.itemgetter` gathers of positions into the specialized list.  A
 group's shared positions are the distinct ones that every one of its
@@ -56,7 +59,7 @@ import operator
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
@@ -136,29 +139,38 @@ class _Group(NamedTuple):
 
 
 class _Compiled(NamedTuple):
-    """A point sequence with its distinct characters stored column by column:
-    `columns[j]` holds coordinate j of each character, by position, the
-    tangent characters first; `key_columns` holds the same for one of each
-    pair {x, -x} of them, the two of which vanish together, so usability
-    depends on it alone.
+    """A point sequence with the characters its weights come from, stored
+    column by column: `key_columns[j]` holds coordinate j of one character
+    of each pair {x, -x} of tangent characters, the two of which vanish
+    together, so usability depends on them alone, and `fiber_columns[j]`
+    of each fiber character that is no tangent character.  `expand` puts
+    the negated key weights, the key weights and the fiber weights at the
+    positions that the gathers of `groups` read.
     `groups` holds the hyperplanes in first-seen order; the points without
     one make one group."""
 
     points: tuple[FixedPoint, ...]
-    columns: tuple[tuple[int, ...], ...]
     key_columns: tuple[tuple[int, ...], ...]
+    fiber_columns: tuple[tuple[int, ...], ...]
+    expand: _Gather
     groups: tuple[_Group, ...]
 
 
-_held = _Compiled((), (), (), ())
+_held = _Compiled((), (), (), _gather(()), ())
+
+#: The last weight vector specialized on the keys of `_held`, as a tuple,
+#: and its key weights; replaced with `_held` by None, which equals no vector.
+_held_keys: tuple[tuple[int, ...] | None, list[int]] = (None, [])
 
 
 def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     """The compiled form of the points, reused while the same point objects
     come in the same order; the held tuple keeps that identity test sound.
-    Each group's `denominator` is counted in the loop that builds its
-    rests.  Raises ValueError when the characters differ in length."""
-    global _held
+    Each character is hashed once per occurrence, and the keys and `expand`
+    are integer remaps of its position.  Each group's `denominator` is
+    counted in the loop that builds its rests.  Raises ValueError when the
+    characters differ in length."""
+    global _held, _held_keys
     points = tuple(points)
     held = _held
     if len(held.points) == len(points) and all(map(operator.is_, held.points, points)):
@@ -174,9 +186,17 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     # A tangent character and its negation share a key, the lower of their
     # positions; `key_of` and `is_key` stop at the last tangent character.
     negations = zip(*(map(operator.neg, column) for column in columns))
-    key_of = list(map(min, range(tangent_count), map(positions.get, negations, count())))
+    found = map(positions.get, negations, range(tangent_count))
+    key_of = [j if j < i else i for i, j in enumerate(found)]
     is_key = list(map(operator.eq, key_of, count()))
     key_columns = tuple(tuple(compress(column, is_key)) for column in columns)
+    # `expand` reads the keys' weights negated, then the keys', then the
+    # other fiber characters': key k sits at size + rank[k], and the other
+    # character of its pair at rank[k].
+    rank = list(accumulate(is_key, initial=-1))[1:]
+    size = sum(is_key)
+    expand = [rank[k] + size * key for k, key in zip(key_of, is_key)]
+    expand += range(2 * size, 2 * size + len(positions) - tangent_count)
     members: defaultdict[int | None, list[int]] = defaultdict(list)
     for index, point in enumerate(points):
         members[point.hyperplane].append(index)
@@ -195,7 +215,9 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
                     most[key] = n
         groups.append(_Group(tuple(indices), _gather(shared), tuple(map(_gather, rests)),
                              _gather(most.elements()), tuple(map(fibers.__getitem__, indices))))
-    _held = _Compiled(points, columns, key_columns, tuple(groups))
+    fiber_columns = tuple(column[tangent_count:] for column in columns)
+    _held = _Compiled(points, key_columns, fiber_columns, _gather(expand), tuple(groups))
+    _held_keys = (None, [])
     return _held
 
 
@@ -208,9 +230,30 @@ def _specialize(columns: Sequence[Sequence[int]], w: WeightVector) -> list[int]:
     return list(map(sum, zip(*scaled)))
 
 
+def _key_weights(compiled: _Compiled, w: tuple[int, ...]) -> list[int]:
+    """The weights of the key characters of `compiled`, which `_compile` has
+    just returned, held for the next call with an equal `w`."""
+    global _held_keys
+    held_w, keys = _held_keys
+    if held_w != w:
+        keys = _specialize(compiled.key_columns, w)
+        _held_keys = (w, keys)
+    return keys
+
+
+def _weights(compiled: _Compiled, w: WeightVector) -> tuple[int, ...]:
+    """The weight of each distinct character of `compiled`, by position: the
+    key weights negated, the key weights and the fiber weights, in place."""
+    keys = _key_weights(compiled, tuple(w))
+    fibers = _specialize(compiled.fiber_columns, w)
+    return compiled.expand([*map(operator.neg, keys), *keys, *fibers])
+
+
 def _usable(compiled: _Compiled, w: WeightVector) -> bool:
-    """True iff `w` gives every distinct tangent character a nonzero weight."""
-    return all(_specialize(compiled.key_columns, w))
+    """True iff `w` gives every distinct tangent character a nonzero weight,
+    read off the key weights alone, since w(-x) = -w(x); they stay held for
+    a sum that follows with an equal `w`."""
+    return all(_key_weights(compiled, tuple(w)))
 
 
 def zero_weight_error(points: Sequence[FixedPoint], w: WeightVector) -> str | None:
@@ -262,7 +305,7 @@ def random_weight_search(
 
     check_range(lo, hi)
     compiled = _compile(points)
-    size = len(compiled.columns) or len(DEFAULT_WEIGHTS)
+    size = len(compiled.key_columns) or len(DEFAULT_WEIGHTS)
     rng = random.Random(seed)
     for attempt in range(1, ATTEMPT_BUDGET + 1):
         w = tuple(rng.sample(range(lo, hi + 1), size))
@@ -282,15 +325,15 @@ def bott_sum(
     one hyperplane, or all those without one, are added over their shared
     tangent product times the product of their group's `denominator`, a
     multiple of every point's other tangent product, and the group sums
-    are added as fractions.  Each distinct character of the compiled
-    points (reused for the same point objects in the same order) is
-    specialized once, and products are taken over gathered positions.
-    `w` must pass `validate_weights` first; a zero tangent product raises
-    with the message of `zero_weight_error`.  Exact arithmetic makes the
-    result independent of summation order.
+    are added as fractions.  The compiled points are reused for the same
+    point objects in the same order, and the key weights for a `w` equal
+    to the last one specialized on them, as by `validate_weights` just
+    before.  `w` must pass `validate_weights` first; a zero tangent
+    product raises with the message of `zero_weight_error`.  Exact
+    arithmetic makes the result independent of summation order.
     """
     compiled = _compile(points)
-    weights = _specialize(compiled.columns, w)
+    weights = _weights(compiled, w)
     value = Fraction(0)
     terms: list[Fraction] = [Fraction(0)] * len(compiled.points) if keep_terms else []
     for group in compiled.groups:

@@ -6,7 +6,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -382,7 +382,8 @@ def test_shared_factor_sum_matches_the_per_point_oracle(drawn, doubled, twice, w
         tangent = (*tangent, twice, twice) if hyperplane == doubled else tuple(tangent)
         points.append(_synthetic_point(tangent, tuple(fiber))._replace(hyperplane=hyperplane))
     compiled = bott._compile(points)
-    characters = _characters_of(compiled)
+    characters = _characters_of(points)
+    assert _expanded_characters(compiled) == tuple(characters)
     for group in compiled.groups:
         denominator = Counter(group.denominator(range(len(characters))))
         assert denominator == _denominator_oracle(points, group, characters)
@@ -480,37 +481,89 @@ def test_bott_sum_is_summation_order_invariant(h4_points):
     assert result.per_point_terms == _oracle_bott_sum(shuffled, DEFAULT_WEIGHTS)[1]
 
 
-def _characters_of(compiled) -> list[LaurentMonomial]:
-    """The distinct characters of a compiled form, by position, from its columns."""
-    return [LaurentMonomial(c) for c in zip(*compiled.columns)]
+def _characters_of(points) -> list[LaurentMonomial]:
+    """The distinct characters of the points by position: in first-seen
+    order, every tangent character before the other fiber characters."""
+    tangent = (m for p in points for m in p.tangent)
+    fiber = (m for p in points for m in p.fiber)
+    return list(dict.fromkeys(chain(tangent, fiber)))
+
+
+def _negated(m: LaurentMonomial) -> LaurentMonomial:
+    return LaurentMonomial(map(operator.neg, m))
+
+
+def _expanded_characters(compiled) -> tuple[LaurentMonomial, ...]:
+    """The compiled form's `expand` applied to its characters in the order of
+    the weights it reads: the keys negated, the keys, the fiber characters."""
+    keys = [LaurentMonomial(c) for c in zip(*compiled.key_columns)]
+    fibers = [LaurentMonomial(c) for c in zip(*compiled.fiber_columns)]
+    return compiled.expand([*map(_negated, keys), *keys, *fibers])
 
 
 def test_bott_sum_specializes_each_distinct_character_once(h4_points):
-    # The columns hold each distinct character once, and specializing them
-    # gives `weight_of` of each.
+    # One character of each pair {x, -x} of tangent characters is a key, and
+    # the fiber columns hold the fiber characters that are no tangent
+    # character; `expand` puts their weights, and the keys' negated, at the
+    # positions of the 395 distinct characters, which specialize to
+    # `weight_of` of each.
     compiled = bott._compile(h4_points)
-    characters = _characters_of(compiled)
+    characters = _characters_of(h4_points)
     occurrences = Counter(m for p in h4_points for m in p.tangent + p.fiber)
     assert (len(occurrences), occurrences.total()) == (395, 13104)
     assert Counter(characters) == Counter(occurrences.keys())
+    assert _expanded_characters(compiled) == tuple(characters)
     # The 280 distinct tangent characters take the first positions.
     tangent = {m for p in h4_points for m in p.tangent}
     assert len(tangent) == 280 and set(characters[:280]) == tangent
     # The key columns hold one character of each of the 140 pairs {x, -x}.
     keys = [LaurentMonomial(c) for c in zip(*compiled.key_columns)]
-    negated = {LaurentMonomial(map(operator.neg, m)) for m in keys}
+    negated = set(map(_negated, keys))
     assert len(keys) == len(negated) == 140 and negated.isdisjoint(keys)
     assert negated | set(keys) == tangent
+    # The fiber columns hold the 115 other characters.
+    fibers = [LaurentMonomial(c) for c in zip(*compiled.fiber_columns)]
+    assert len(fibers) == 115 and fibers == characters[280:]
     for w in (DEFAULT_WEIGHTS, (1, 1, 1, 1, 1), (-3, 0, 7, 2, -9)):
-        assert bott._specialize(compiled.columns, w) == [weight_of(m, w) for m in characters]
+        assert bott._specialize(compiled.key_columns, w) == [weight_of(m, w) for m in keys]
+        assert bott._specialize(compiled.fiber_columns, w) == [weight_of(m, w) for m in fibers]
+        assert bott._weights(compiled, w) == tuple(weight_of(m, w) for m in characters)
     assert bott_sum(h4_points, DEFAULT_WEIGHTS).value == Fraction(6028452)
+
+
+def test_each_new_weight_vector_takes_255_dot_products(h4_points, monkeypatch):
+    # 140 for the keys, which the usability test reads and the sum that
+    # follows it with an equal vector reuses, and 115 for the fiber
+    # characters.
+    products = []
+    specialize = bott._specialize
+
+    def counted(columns, w):
+        weights = specialize(columns, w)
+        products.append(len(weights))
+        return weights
+
+    monkeypatch.setattr(bott, "_specialize", counted)
+    vectors = [random_weight_search(seed, 1, 10_000, h4_points)[0] for seed in range(3)]
+    products.clear()
+    assert validate_weights(h4_points, vectors[0])
+    assert bott_sum(h4_points, list(vectors[0])).value == 6028452
+    assert products == [140, 115]
+    products.clear()
+    assert bott_sum(h4_points, vectors[1]).value == 6028452
+    assert bott_sum(h4_points, vectors[1]).value == 6028452
+    assert products == [140, 115, 115]
+    products.clear()
+    assert zero_weight_error(h4_points, vectors[2]) is None
+    assert bott_sum(h4_points, vectors[2]).value == 6028452
+    assert products == [140, 115]
 
 
 def test_each_hyperplane_shares_its_three_directions(h4_points):
     # Every tangent in hyperplane i holds the directions x_j / x_i, which
     # the compiled form multiplies once per group.
     compiled = bott._compile(h4_points)
-    characters = _characters_of(compiled)
+    characters = _characters_of(h4_points)
     linear = invariant_sections(4, 1)
     for i, group in enumerate(compiled.groups, start=1):
         assert {h4_points[k].hyperplane for k in group.indices} == {i}
@@ -540,7 +593,7 @@ def _denominator_oracle(points, group, characters) -> Counter:
 def test_denominator_holds_each_merged_key_at_its_largest_multiplicity(which, h3_points, h4_points):
     points = {"h3": h3_points, "h4": h4_points}[which]
     compiled = bott._compile(points)
-    characters = _characters_of(compiled)
+    characters = _characters_of(points)
     assert len(compiled.groups) == {"h3": 1, "h4": 4}[which]
     for group in compiled.groups:
         expected = _denominator_oracle(points, group, characters)
@@ -551,16 +604,22 @@ def test_denominator_holds_each_merged_key_at_its_largest_multiplicity(which, h3
             assert sorted(Counter(expected.values()).items()) == [(1, 45), (2, 9), (3, 3)]
 
 
-def test_a_character_and_its_negation_share_one_key():
-    # In one hyperplane, one point holds chi twice and -chi once and another
-    # -chi twice, so the key of chi appears 3 times; a third point holds
-    # neither, so the group shares no direction.
+def _negation_points() -> list[FixedPoint]:
+    """Three points of one hyperplane: one holds chi twice and -chi once,
+    another -chi twice, and the third neither."""
     chi, negated, other = mono("x1*x2^-1"), mono("x2*x1^-1"), mono("x0^2*x3^-1*x4^-1")
     ideals = [MonomialIdeal([mono("x0^2"), mono(f"x{k}^2")]) for k in (1, 2, 3)]
     tangents = [(chi, chi, negated), (negated, negated), (other,)]
     fibers = [characters(("x3*x4^-1", 3)), characters(("x0^2*x1^-2", 2)), (chi,)]
-    points = [_synthetic_point(tangent, fiber)._replace(ideal=ideal, hyperplane=1)
-              for tangent, fiber, ideal in zip(tangents, fibers, ideals)]
+    return [_synthetic_point(tangent, fiber)._replace(ideal=ideal, hyperplane=1)
+            for tangent, fiber, ideal in zip(tangents, fibers, ideals)]
+
+
+def test_a_character_and_its_negation_share_one_key():
+    # The key of chi appears 3 times; the third point holds neither chi nor
+    # -chi, so the group shares no direction.
+    points = _negation_points()
+    chi, other = points[0].tangent[0], points[2].tangent[0]
     (group,) = bott._compile(points).groups
     assert Counter(group.denominator(range(3))) == {0: 3, 2: 1}
     for w in (DEFAULT_WEIGHTS, (7, 3, -2, 5, 11), (-5, 8, 1, 9, 2)):
@@ -575,6 +634,72 @@ def test_a_character_and_its_negation_share_one_key():
     assert str(excinfo.value) == zero_weight_error(points, w) is not None
 
 
+#: Five 30-digit weights, the same with two of them negated, and the
+#: weights of the command line example of mixed widths.
+_WIDE = [
+    (123456789012345678901234567890, 987654321098765432109876543210,
+     314159265358979323846264338327, 271828182845904523536028747135,
+     161803398874989484820458683436),
+    (-123456789012345678901234567890, 987654321098765432109876543210,
+     -314159265358979323846264338327, 271828182845904523536028747135,
+     161803398874989484820458683436),
+    (1000000000000000000000000000007, 3, 999999999999999999999, 123456789012345678901234567, 55),
+]
+
+
+@pytest.mark.parametrize("which", ["h4", "negation"])
+def test_sum_is_exact_beyond_64_bits_and_with_negative_weights(which, h4_points):
+    # Every weight, product and sum is a Python integer, so no fixed width
+    # bounds them; (7, 3, -2, 5, 11) is usable on the synthetic points alone.
+    points = {"h4": h4_points, "negation": _negation_points()}[which]
+    vectors = _WIDE + ([] if which == "h4" else [(7, 3, -2, 5, 11)])
+    for w in vectors:
+        assert validate_weights(points, w)
+        result = bott_sum(points, w, keep_terms=True)
+        assert (result.value, result.per_point_terms) == _oracle_bott_sum(points, w)
+    for w in _WIDE:
+        assert max(map(abs, bott._weights(bott._compile(points), w))) > 2**64
+    if which == "h4":
+        assert {bott_sum(points, w).value for w in _WIDE} == {Fraction(6028452)}
+
+
+def test_held_key_weights_are_never_stale(h4_points):
+    # A sum reuses the key weights of the usability test before it only for
+    # the same points and an equal vector.
+    points = list(h4_points)
+    w, w2 = (random_weight_search(seed, 1, 10_000, points)[0] for seed in (0, 1))
+    # Another vector.
+    assert validate_weights(points, w)
+    assert bott_sum(points, w2).value == _oracle_bott_sum(points, w2)[0]
+    # A list changed in place between the two calls, to a usable and to an unusable vector.
+    vector = list(w)
+    assert validate_weights(points, vector)
+    vector[:] = w2
+    assert bott_sum(points, vector).value == _oracle_bott_sum(points, w2)[0]
+    assert validate_weights(points, vector)
+    vector[:] = (1, 1, 1, 1, 1)
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        bott_sum(points, vector)
+    assert str(excinfo.value) == zero_weight_error(points, vector) is not None
+    # A point replaced in place between the two calls, with a tangent
+    # character that no other point holds, which moves the positions after it.
+    novel = mono("x0^5*x1^-4*x2^-3*x3^-2*x4^-1")
+    assert novel not in _characters_of(points) and weight_of(novel, w) != 0
+    assert validate_weights(points, w)
+    points[250] = _synthetic_point((novel, *characters(("x2*x3^-1", 2))), characters(("x2*x1^-1", 3)))
+    assert bott_sum(points, w).value == _oracle_bott_sum(points, w)[0]
+    # An empty vector just after a compile, when no vector is held yet.
+    bott_sum(h4_points, w)
+    with pytest.raises(ValueError, match="^characters have 5 coordinates but 0 weights are given$"):
+        validate_weights(points, ())
+    # A vector that the usability test rejects.
+    w = (1, 1, 1, 1, 1)
+    assert not validate_weights(points, w)
+    with pytest.raises(ZeroDivisionError) as excinfo:
+        bott_sum(points, w)
+    assert str(excinfo.value) == zero_weight_error(points, w) is not None
+
+
 def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     points = list(h4_points)
     bott_sum(points, DEFAULT_WEIGHTS)
@@ -582,8 +707,9 @@ def test_compiled_points_are_reused_only_for_the_same_points(h4_points):
     assert validate_weights(points, DEFAULT_WEIGHTS)
     bott_sum(list(points), DEFAULT_WEIGHTS)
     assert bott._held is held
-    assert len(held.columns[0]) == 395
     assert len(held.key_columns[0]) == 140
+    assert len(held.fiber_columns[0]) == 115
+    assert len(held.expand(range(395))) == 395
 
     # A point replaced in place, the length kept: zero at `w` only on the new character.
     w, _ = random_weight_search(0, 1, 10_000, points)
