@@ -12,9 +12,10 @@ of the degree-6 bundle equals the sum over fixed points of
 
     (product of fiber weights) / (product of tangent weights),
 
-evaluated here in exact big-integer rational arithmetic.  No floating
-point appears anywhere: products of 13 weights of size up to 10^4
-overflow 64-bit integers.  Each point holds its fiber and tangent
+evaluated here in exact big-integer rational arithmetic, which `bott_sum`
+alone imports, so a run without a sum never loads `fractions`.  No
+floating point appears anywhere: products of 13 weights of size up to
+10^4 overflow 64-bit integers.  Each point holds its fiber and tangent
 characters as tuples, each character repeated by its multiplicity.
 
 A point sequence is compiled once.  Its distinct characters (395 on the
@@ -58,12 +59,14 @@ import math
 import operator
 import sys
 from collections import Counter, defaultdict
-from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .fixedpoints import FixedPoint
 from .repring import LaurentMonomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: The default one-parameter subgroup; the headline count 6028452 is
 #: reproduced bit-exactly with these weights.
@@ -167,8 +170,8 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     """The compiled form of the points, reused while the same point objects
     come in the same order; the held tuple keeps that identity test sound.
     Each character is hashed once per occurrence, and the keys and `expand`
-    are integer remaps of its position.  Each group's `denominator` is
-    counted in the loop that builds its rests.  Raises ValueError when the
+    are integer remaps of its position.  Each group's `denominator` comes
+    from one count of its (point, key) pairs.  Raises ValueError when the
     characters differ in length."""
     global _held, _held_keys
     points = tuple(points)
@@ -204,15 +207,19 @@ def _compile(points: Iterable[FixedPoint]) -> _Compiled:
     for indices in members.values():
         group = list(map(tangents.__getitem__, indices))
         shared = set(group[0]).intersection(*group[1:])
-        rests, most = [], Counter()
+        rests = []
         for tangent in group:
             rest = list(tangent)
             for c in shared:
                 rest.remove(c)
             rests.append(rest)
-            for key, n in Counter(map(key_of.__getitem__, rest)).items():
-                if n > most.get(key, 0):
-                    most[key] = n
+        # Most (point, key) pairs occur once: each key starts at 1, raised by repeated pairs.
+        owners = chain.from_iterable(map(repeat, range(len(rests)), map(len, rests)))
+        pairs = Counter(zip(owners, map(key_of.__getitem__, chain.from_iterable(rests))))
+        most = Counter(dict.fromkeys(map(operator.itemgetter(1), pairs), 1))
+        for (_, key), n in pairs.items():
+            if n > 1 and n > most[key]:
+                most[key] = n
         groups.append(_Group(tuple(indices), _gather(shared), tuple(map(_gather, rests)),
                              _gather(most.elements()), tuple(map(fibers.__getitem__, indices))))
     fiber_columns = tuple(column[tangent_count:] for column in columns)
@@ -332,6 +339,8 @@ def bott_sum(
     product raises with the message of `zero_weight_error`.  Exact
     arithmetic makes the result independent of summation order.
     """
+    from fractions import Fraction  # here alone, so that a run without a sum never loads it
+
     compiled = _compile(points)
     weights = _weights(compiled, w)
     value = Fraction(0)

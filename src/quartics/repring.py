@@ -33,7 +33,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator, Set
 from functools import lru_cache, reduce
-from itertools import compress, filterfalse
+from itertools import chain, compress, filterfalse, repeat
 from types import MappingProxyType
 
 
@@ -202,14 +202,14 @@ class MonomialIdeal(tuple):
 # ---------------------------------------------------------------------------
 
 
-def _degree_monomials(nvars: int, degree: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _degree_monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of the given length summing to `degree`, descending."""
     if nvars == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for tail in _degree_monomials(nvars - 1, degree - head):
-            yield (head,) + tail
+        return ((degree,),)
+    return tuple(chain.from_iterable(
+        map(operator.add, repeat((head,)), _degree_monomials(nvars - 1, degree - head))
+        for head in range(degree, -1, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -229,11 +229,9 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
         raise ValueError(f"need at least two characters, got n={n}")
     if m < 0:
         raise ValueError(f"negative degree: {m}")
-    return tuple(
-        mono
-        for mono in map(LaurentMonomial, _degree_monomials(n + 1, m))
-        if mono.is_invariant()
-    )
+    # Even x0-exponents only, from the top; the exponents are integers already.
+    return tuple(tuple.__new__(LaurentMonomial, (head,) + tail)
+                 for head in range(m - m % 2, -1, -2) for tail in _degree_monomials(n, m - head))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +249,8 @@ def _multiples(g: LaurentMonomial, k: int) -> int:
     if d > k:
         return 0
     bits, cofactors = _section_bits(n, k), invariant_sections(n, k - d)
-    return sum(bits[tuple(map(operator.add, g, q))] for q in cofactors)
+    products = map(tuple, map(map, repeat(operator.add), repeat(g), cofactors))
+    return sum(map(bits.__getitem__, products))
 
 
 def twist_mask(I: MonomialIdeal, k: int) -> int:

@@ -627,20 +627,64 @@ def test_count_imports_neither_dataclasses_nor_inspect(argv):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["count"], ["count", "--seed", "3"]], ids=" ".join)
-def test_count_loads_random_only_for_a_search(argv):
-    # `bott` imports `random` inside the weight search alone.  `-S` skips
-    # `site`, whose start-up files may import `random` themselves, and
-    # `-X importtime` lists on stderr every module the run imports.
+def imported_by(argv: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """A `python -m quartics.cli` process and every module it imports.
+    `-S` skips `site`, whose start-up files may import anything, and
+    `-X importtime` lists on stderr every module the run imports."""
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "quartics.cli", *argv],
         capture_output=True, text=True, timeout=60, env=module_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "6028452\n"), proc.stderr
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, imported
+
+
+@pytest.mark.parametrize("argv", [["count"], ["count", "--seed", "3"]], ids=" ".join)
+def test_count_loads_random_only_for_a_search(argv):
+    # `bott` imports `random` inside the weight search alone.
+    proc, imported = imported_by(argv)
+    assert (proc.returncode, proc.stdout) == (0, "6028452\n"), proc.stderr
     assert "quartics.bott" in imported
     assert ("random" in imported) == ("--seed" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count"], ["fixed-points", "--json"], ["fixed-points", "--h3-only", "--json"], ["fixed-points"]],
+    ids=" ".join,
+)
+def test_only_a_sum_loads_the_rational_arithmetic(argv):
+    # `bott` imports `Fraction`, and with it `decimal`, inside `bott_sum`
+    # alone; the dump takes no sum.
+    proc, imported = imported_by(argv)
+    assert proc.returncode == 0, proc.stderr
+    if argv == ["count"]:
+        assert "fractions" in imported
+    else:
+        assert not {"fractions", "decimal"} & imported
+
+
+def test_a_sum_returns_a_fraction_that_the_package_import_did_not_load():
+    # The point of `test_bott_sum_fiber_equals_tangent`, built in a fresh
+    # process without `site`; its sum is 1.
+    script = (
+        "import sys, quartics; "
+        "from quartics.fixedpoints import FixedPoint, STAGE_GRASSMANNIAN; "
+        "from quartics.repring import LaurentMonomial as M, MonomialIdeal; "
+        "loaded = 'fractions' in sys.modules; "
+        "tangent = (M((0, -1, 1, 0, 0)),) * 2 + (M((2, 0, 0, -1, -1)),); "
+        "ideal = MonomialIdeal([M((2, 0, 0, 0, 0)), M((0, 2, 0, 0, 0))]); "
+        "point = FixedPoint(STAGE_GRASSMANNIAN, ideal, tangent, tangent); "
+        "value = quartics.bott_sum([point], quartics.bott.DEFAULT_WEIGHTS).value; "
+        "from fractions import Fraction; "
+        "print(loaded, type(value) is Fraction, value)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False True 1\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

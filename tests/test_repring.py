@@ -181,6 +181,15 @@ def test_invariant_sections_against_brute_force():
         assert computed == expected, (n, m)
 
 
+def test_invariant_sections_are_monomials_of_the_ring():
+    # The sections are built with `tuple.__new__`, which skips the checks
+    # of `LaurentMonomial.__new__`, so their type and length are asserted.
+    for n, m in product(range(1, 5), range(9)):
+        for section in invariant_sections(n, m):
+            assert type(section) is LaurentMonomial and len(section) == n + 1, (n, m, section)
+            assert all(type(e) is int for e in section), (n, m, section)
+
+
 def test_invariant_sections_all_multiplicity_one():
     for m in range(7):
         sections = invariant_sections(4, m)
