@@ -58,15 +58,20 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate, chain, compress, count, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING
 
 from .fixedpoints import FixedPoint
 from .repring import LaurentMonomial
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Callable, Iterable, Sequence
+
+    WeightVector = Sequence[int]
+    #: A function from the list of character weights to the tuple of some of them.
+    _Gather = Callable[[Sequence[int]], tuple[int, ...]]
 
 #: The default one-parameter subgroup; the headline count 6028452 is
 #: reproduced bit-exactly with these weights.
@@ -86,19 +91,18 @@ DEFAULT_RANGE = (1, 10_000)
 #: distinct integers from [1, 10] are usable on the 126 points.
 MIN_RANGE_WIDTH = 11
 
-WeightVector = Sequence[int]
-
 
 class WeightSearchExhausted(Exception):
     """`ATTEMPT_BUDGET` draws from [lo, hi] in a row gave no usable vector;
     the message names the range as the command line's ``--range LO HI``."""
 
 
-class LocalizationResult(NamedTuple):
-    """Value of the localization sum, optionally with per-point summands."""
+class LocalizationResult(namedtuple("LocalizationResult", "value per_point_terms",
+                                    defaults=(None,))):
+    """Value of the localization sum, a `Fraction`, optionally with the
+    per-point summands, a tuple of (label, `Fraction`) pairs, else None."""
 
-    value: Fraction
-    per_point_terms: tuple[tuple[str, Fraction], ...] | None = None
+    __slots__ = ()
 
 
 def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
@@ -112,10 +116,6 @@ def weight_of(m: LaurentMonomial, w: WeightVector) -> int:
     return sum(map(operator.mul, m, w))
 
 
-#: A function from the list of character weights to the tuple of some of them.
-_Gather = Callable[[Sequence[int]], tuple[int, ...]]
-
-
 def _gather(positions: Iterable[int]) -> _Gather:
     """The function from a sequence to the tuple of its items at `positions`;
     `itemgetter` takes no empty list and returns a single item bare."""
@@ -125,38 +125,31 @@ def _gather(positions: Iterable[int]) -> _Gather:
     return lambda weights: tuple(map(weights.__getitem__, positions))
 
 
-class _Group(NamedTuple):
-    """The points of one hyperplane, or all those without one, as gathers
+class _Group(namedtuple("_Group", "indices shared tangents denominator fibers")):
+    """The points of one hyperplane, or all those without one, as `_Gather`s
     from the list of character weights: `shared` gathers the tangent
     positions that every point of the group holds, and `tangents[k]` the
     other tangent positions of point `indices[k]`, `fibers[k]` its fiber.
     `denominator` gathers the keys of those other positions, each as many
     times as the point that holds it most often holds it; its product is a
-    multiple of every `tangents[k]` product up to sign."""
+    multiple of every `tangents[k]` product up to sign.  `indices`,
+    `tangents` and `fibers` are tuples."""
 
-    indices: tuple[int, ...]
-    shared: _Gather
-    tangents: tuple[_Gather, ...]
-    denominator: _Gather
-    fibers: tuple[_Gather, ...]
+    __slots__ = ()
 
 
-class _Compiled(NamedTuple):
-    """A point sequence with the characters its weights come from, stored
-    column by column: `key_columns[j]` holds coordinate j of one character
-    of each pair {x, -x} of tangent characters, the two of which vanish
-    together, so usability depends on them alone, and `fiber_columns[j]`
-    of each fiber character that is no tangent character.  `expand` puts
-    the negated key weights, the key weights and the fiber weights at the
-    positions that the gathers of `groups` read.
-    `groups` holds the hyperplanes in first-seen order; the points without
-    one make one group."""
+class _Compiled(namedtuple("_Compiled", "points key_columns fiber_columns expand groups")):
+    """A tuple of `points` with the characters its weights come from, stored
+    column by column in tuples of int tuples: `key_columns[j]` holds
+    coordinate j of one character of each pair {x, -x} of tangent
+    characters, the two of which vanish together, so usability depends on
+    them alone, and `fiber_columns[j]` of each fiber character that is no
+    tangent character.  The `_Gather` `expand` puts the negated key
+    weights, the key weights and the fiber weights at the positions that
+    the gathers of `groups`, a tuple of `_Group`, read.  `groups` holds
+    the hyperplanes in first-seen order; the points without one make one group."""
 
-    points: tuple[FixedPoint, ...]
-    key_columns: tuple[tuple[int, ...], ...]
-    fiber_columns: tuple[tuple[int, ...], ...]
-    expand: _Gather
-    groups: tuple[_Group, ...]
+    __slots__ = ()
 
 
 _held = _Compiled((), (), (), _gather(()), ())

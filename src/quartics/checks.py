@@ -10,9 +10,8 @@ at call time, so a caller that replaces one of them sees every call.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from . import bott, fixedpoints
 
@@ -20,22 +19,18 @@ from . import bott, fixedpoints
 VERIFY_SEED_COUNT = 10
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name ok detail")):
+    """A check's `name`, whether it passed (the bool `ok`) and its `detail`."""
+
+    __slots__ = ()
 
 
-class Build(NamedTuple):
-    """What the checks share: the points, the centers and the weight search."""
+class Build(namedtuple("Build", "h3 h4 stage1 stage2 seeds lo hi")):
+    """What the checks share: the points, the centers and the weight search:
+    lists of `FixedPoint` (`h3`, `h4`) and of `BlowupCenterDatum` (`stage1`,
+    `stage2`), a `range` of `seeds` and the search range [`lo`, `hi`]."""
 
-    h3: list[fixedpoints.FixedPoint]
-    h4: list[fixedpoints.FixedPoint]
-    stage1: list[fixedpoints.BlowupCenterDatum]
-    stage2: list[fixedpoints.BlowupCenterDatum]
-    seeds: range
-    lo: int
-    hi: int
+    __slots__ = ()
 
 
 def _census(b: Build) -> tuple[bool, str]:

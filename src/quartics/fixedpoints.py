@@ -40,10 +40,10 @@ recomputes every blown-up ideal from first principles as a flat limit.
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, starmap
-from typing import Iterable, NamedTuple, Sequence
 
 from .repring import LaurentMonomial, MonomialIdeal, ideal_twist, invariant_sections, twist_mask
 
@@ -57,10 +57,12 @@ STAGES = (STAGE_GRASSMANNIAN, STAGE_BLOWUP1, STAGE_BLOWUP2)
 DEGREE = 6
 
 
-class FixedPoint(NamedTuple):
+class FixedPoint(namedtuple("FixedPoint", "stage ideal tangent fiber hyperplane",
+                            defaults=(None,))):
     """A torus-fixed point with its ideal and the characters of its tangent
     space and of its fiber.
 
+    `stage` is one of `STAGES` and `ideal` a `MonomialIdeal`.  The tuples
     `tangent` and `fiber` hold each character repeated by its multiplicity,
     in canonical (descending) order: the lists whose weight products make
     the point's Bott term.  `hyperplane` is None for points of the
@@ -68,11 +70,7 @@ class FixedPoint(NamedTuple):
     {x_i = 0} after assembly into P(2,1,1,1,1).
     """
 
-    stage: str
-    ideal: MonomialIdeal
-    tangent: tuple[LaurentMonomial, ...]
-    fiber: tuple[LaurentMonomial, ...]
-    hyperplane: int | None = None
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -91,7 +89,8 @@ class FixedPoint(NamedTuple):
         )
 
 
-class BlowupCenterDatum(NamedTuple):
+class BlowupCenterDatum(namedtuple(
+        "BlowupCenterDatum", "base_ideal tangent_to_center normal_basis lcm_base stage")):
     """Tangent/normal data at one torus-fixed point of a blow-up center.
 
     An immutable record of tuples, built once and shared by every build.
@@ -99,17 +98,14 @@ class BlowupCenterDatum(NamedTuple):
     its multiplicity, in canonical (descending) order, as `FixedPoint.tangent`
     does.  `normal_basis` is the normal space, the ambient tangent minus
     `tangent_to_center`: degree-0 semiinvariant characters, one candidate
-    fixed point per character.  `lcm_base` is the least common multiple of
-    the generator pair whose syzygy is lifted, so the candidate fixed point
-    in direction mu acquires the new generator lcm_base * mu.  `stage` tags
+    fixed point per character.  The monomial `lcm_base` is the least common
+    multiple of the generator pair of the `MonomialIdeal` `base_ideal` whose
+    syzygy is lifted, so the candidate fixed point in direction mu acquires
+    the new generator lcm_base * mu.  `stage` tags, as a name of `STAGES`,
     the stage of the points this center produces.
     """
 
-    base_ideal: MonomialIdeal
-    tangent_to_center: tuple[LaurentMonomial, ...]
-    normal_basis: tuple[LaurentMonomial, ...]
-    lcm_base: LaurentMonomial
-    stage: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +329,6 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
 
     while True:
         gens = list(coeffs)
-        ideal = MonomialIdeal(gens)
         adjoined = None
         for gi, gj in combinations(gens, 2):
             # t-coefficient of the lifted syzygy (lcm/gi)*gi(t) - (lcm/gj)*gj(t):
@@ -343,12 +338,12 @@ def limit_ideal_oracle(base: MonomialIdeal, direction: LaurentMonomial) -> Monom
             remainder = direction * gi.lcm(gj)
             if remainder.degree > degree_bound:
                 continue  # beyond the first-order truncation
-            if ideal.contains(remainder):
+            if any(g.divides(remainder) for g in gens):
                 continue  # cancels against a current generator
             adjoined = remainder
             break
         if adjoined is None:
-            return ideal
+            return MonomialIdeal(gens)
         coeffs = {g: c for g, c in coeffs.items() if not adjoined.divides(g)}
         coeffs[adjoined] = 0
 

@@ -34,7 +34,6 @@ import operator
 from collections.abc import Iterable, Iterator, Set
 from functools import lru_cache, reduce
 from itertools import chain, compress, filterfalse, repeat
-from types import MappingProxyType
 
 
 class LaurentMonomial(tuple):
@@ -235,9 +234,9 @@ def invariant_sections(n: int, m: int) -> tuple[LaurentMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _section_bits(n: int, k: int) -> MappingProxyType[LaurentMonomial, int]:
-    """Each section of V[k], in canonical order, with its bit 1 << j, read-only."""
-    return MappingProxyType({m: 1 << j for j, m in enumerate(invariant_sections(n, k))})
+def _section_bits(n: int, k: int) -> dict[LaurentMonomial, int]:
+    """Each section of V[k], in canonical order, with its bit 1 << j."""
+    return {m: 1 << j for j, m in enumerate(invariant_sections(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -261,30 +260,30 @@ def twist_mask(I: MonomialIdeal, k: int) -> int:
 
 
 class Slice(Set):
-    """A read-only set of sections of V[k]: the map from each section, in
-    canonical order, to its bit, and the mask of the sections held.  A
-    monomial of another degree or ring, or not invariant, is not held."""
+    """A read-only set of sections of V[k]: the tuple of `invariant_sections`,
+    in canonical order, and the mask of the sections held.  A monomial of
+    another degree or ring, or not invariant, is not held."""
 
-    __slots__ = ("bits", "mask")
+    __slots__ = ("sections", "mask")
     _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-    def __init__(self, bits: MappingProxyType[LaurentMonomial, int], mask: int) -> None:
-        self.bits, self.mask = bits, mask
+    def __init__(self, sections: tuple[LaurentMonomial, ...], mask: int) -> None:
+        self.sections, self.mask = sections, mask
 
     def __len__(self) -> int:
         return self.mask.bit_count()
 
     def __contains__(self, m: object) -> bool:
-        return bool(self.mask & self.bits.get(m, 0))
+        return m in self.sections and bool(self.mask >> self.sections.index(m) & 1)
 
     def __iter__(self) -> Iterator[LaurentMonomial]:
         # The binary digits of the mask, lowest first, select the sections.
-        digits = format(self.mask, f"0{len(self.bits)}b")[::-1].encode().translate(self._DIGITS)
-        return compress(self.bits, digits)
+        digits = format(self.mask, f"0{len(self.sections)}b")[::-1].encode().translate(self._DIGITS)
+        return compress(self.sections, digits)
 
     def complement(self) -> Slice:
         """The sections of the same space outside the slice."""
-        return Slice(self.bits, self.mask ^ ((1 << len(self.bits)) - 1))
+        return Slice(self.sections, self.mask ^ ((1 << len(self.sections)) - 1))
 
     @classmethod
     def _from_iterable(cls, it: Iterable[LaurentMonomial]) -> frozenset[LaurentMonomial]:
@@ -303,4 +302,4 @@ def ideal_twist(I: MonomialIdeal, k: int) -> Slice:
     >>> [str(m) for m in ideal_twist(I, 2)]
     ['x0^2']
     """
-    return Slice(_section_bits(I.nvars - 1, k), twist_mask(I, k))
+    return Slice(invariant_sections(I.nvars - 1, k), twist_mask(I, k))

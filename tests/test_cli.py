@@ -627,6 +627,41 @@ def test_count_imports_neither_dataclasses_nor_inspect(argv):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
+#: Each record type with its fields, in order.
+RECORD_FIELDS = {
+    fixedpoints.FixedPoint: ("stage", "ideal", "tangent", "fiber", "hyperplane"),
+    BlowupCenterDatum: ("base_ideal", "tangent_to_center", "normal_basis", "lcm_base", "stage"),
+    bott.LocalizationResult: ("value", "per_point_terms"),
+    bott._Group: ("indices", "shared", "tangents", "denominator", "fibers"),
+    bott._Compiled: ("points", "key_columns", "fiber_columns", "expand", "groups"),
+    checks.CheckResult: ("name", "ok", "detail"),
+    checks.Build: ("h3", "h4", "stage1", "stage2", "seeds", "lo", "hi"),
+}
+
+
+def test_record_types_keep_the_named_tuple_api(h3_points, h4_points):
+    # Each record type is a named tuple without an instance dict: its
+    # fields in order, its defaults, `_replace`, `repr`, and the
+    # `_asdict` keys that `verify --json` prints.
+    compiled = bott._compile(h4_points)
+    records = [
+        h4_points[0], stage1_centers()[0], bott.LocalizationResult(Fraction(6028452)),
+        compiled.groups[0], compiled, checks.CheckResult("census", True, "12/42/72"),
+        checks.Build(h3_points, h4_points, stage1_centers(), stage2_centers(), range(3), 1, 11),
+    ]
+    assert list(map(type, records)) == list(RECORD_FIELDS)
+    for record, (cls, fields) in zip(records, RECORD_FIELDS.items()):
+        assert isinstance(record, tuple) and cls._fields == fields
+        assert not hasattr(record, "__dict__"), cls
+        first = {fields[0]: record[0]}
+        assert type(record._replace(**first)) is cls and record._replace(**first) == record
+        assert repr(record).startswith(f"{cls.__name__}({fields[0]}="), cls
+    point = h3_points[0]
+    assert fixedpoints.FixedPoint(point.stage, point.ideal, point.tangent, point.fiber).hyperplane is None
+    assert bott.LocalizationResult(Fraction(1)).per_point_terms is None
+    assert list(records[5]._asdict()) == ["name", "ok", "detail"]
+
+
 def imported_by(argv: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
     """A `python -m quartics.cli` process and every module it imports.
     `-S` skips `site`, whose start-up files may import anything, and
@@ -663,6 +698,28 @@ def test_only_a_sum_loads_the_rational_arithmetic(argv):
         assert "fractions" in imported
     else:
         assert not {"fractions", "decimal"} & imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count"], ["fixed-points"], ["fixed-points", "--json"],
+     ["fixed-points", "--h3-only", "--json"], ["verify", "--json"]],
+    ids=" ".join,
+)
+def test_only_verify_loads_the_suite(argv):
+    # `cli.run_checks` imports `checks` at its first call alone.
+    proc, imported = imported_by(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert ("quartics.checks" in imported) == (argv[0] == "verify")
+
+
+def test_importing_cli_leaves_the_suite_unloaded():
+    script = "import sys, quartics.cli; print('quartics.checks' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=60, env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_a_sum_returns_a_fraction_that_the_package_import_did_not_load():
